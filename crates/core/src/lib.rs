@@ -349,14 +349,18 @@ impl LensBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`LensError::Config`] for inconsistent spaces or zero
-    /// iteration counts, and propagates predictor-training failures.
+    /// Returns [`LensError::Config`] for inconsistent spaces, zero
+    /// iteration counts, or MOBO settings the search would fail on (an
+    /// empty hyperparameter grid, a lengthscale that is not finite and
+    /// positive, a noise that is not finite and non-negative, a non-finite
+    /// `beta`), and propagates predictor-training failures.
     pub fn build(self) -> Result<Lens, LensError> {
         if self.config.initial_samples == 0 {
             return Err(LensError::Config(
                 "initial_samples must be at least 1".into(),
             ));
         }
+        validate_mobo(&self.config.mobo)?;
         let deploy_space = self
             .deploy_space
             .unwrap_or_else(|| Arc::new(VggSpace::for_deployment()));
@@ -411,9 +415,80 @@ impl LensBuilder {
     }
 }
 
+/// Rejects the MOBO settings that would otherwise only fail inside
+/// [`Lens::search`], after the initial evaluations have run: an empty
+/// hyperparameter grid, a lengthscale that is not finite and positive, a
+/// noise that is not finite and non-negative, and a non-finite `beta`
+/// (which turns every acquisition score into NaN).
+fn validate_mobo(mobo: &MoboConfig) -> Result<(), LensError> {
+    if mobo.lengthscales.is_empty() || mobo.noises.is_empty() {
+        return Err(LensError::Config(
+            "MOBO lengthscale and noise grids must be non-empty".into(),
+        ));
+    }
+    if let Some(ls) = mobo
+        .lengthscales
+        .iter()
+        .find(|ls| !(ls.is_finite() && **ls > 0.0))
+    {
+        return Err(LensError::Config(format!(
+            "MOBO lengthscales must be finite and positive, got {ls}"
+        )));
+    }
+    if let Some(noise) = mobo.noises.iter().find(|n| !(n.is_finite() && **n >= 0.0)) {
+        return Err(LensError::Config(format!(
+            "MOBO noises must be finite and non-negative, got {noise}"
+        )));
+    }
+    if !mobo.beta.is_finite() {
+        return Err(LensError::Config(format!(
+            "MOBO beta must be finite, got {}",
+            mobo.beta
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The build error for the default builder with `mobo` patched in.
+    fn mobo_error(patch: impl FnOnce(&mut MoboConfig)) -> String {
+        let mut mobo = MoboConfig::default();
+        patch(&mut mobo);
+        match Lens::builder().mobo(mobo).use_predictor(false).build() {
+            Err(LensError::Config(why)) => why,
+            other => panic!("expected a config error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn builder_rejects_empty_mobo_grids() {
+        assert!(mobo_error(|m| m.lengthscales.clear()).contains("non-empty"));
+        assert!(mobo_error(|m| m.noises.clear()).contains("non-empty"));
+    }
+
+    #[test]
+    fn builder_rejects_zero_negative_or_nan_lengthscales() {
+        for bad in [0.0, -0.4, f64::NAN] {
+            let why = mobo_error(|m| m.lengthscales.push(bad));
+            assert!(why.contains("lengthscales"), "{bad}: {why}");
+        }
+    }
+
+    #[test]
+    fn builder_rejects_negative_or_nan_noise() {
+        for bad in [-1e-3, f64::NAN] {
+            let why = mobo_error(|m| m.noises.insert(0, bad));
+            assert!(why.contains("noises"), "{bad}: {why}");
+        }
+    }
+
+    #[test]
+    fn builder_rejects_nan_beta() {
+        assert!(mobo_error(|m| m.beta = f64::NAN).contains("beta"));
+    }
 
     #[test]
     fn builder_defaults_build() {

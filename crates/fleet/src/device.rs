@@ -1,9 +1,10 @@
 //! Per-device sessions and the cohorts that share design-time artifacts.
 //!
-//! Every device composes a synthesized per-device [`ThroughputTrace`], an
-//! online [`ThroughputTracker`], and a deployment policy over its cohort's
-//! shared [`DominanceMap`]. A [`Cohort`] is one (region, technology) cell
-//! of the scenario mix: all its devices see the same deployment options and
+//! Every device composes an online [`ThroughputTracker`] and a deployment
+//! policy over its cohort's shared [`DominanceMap`]; the engine feeds it
+//! samples of its own synthesized throughput trace, which the shard's
+//! sample arena holds. A [`Cohort`] is one (region, technology) cell of the
+//! scenario mix: all its devices see the same deployment options and
 //! dominance structure (those depend only on the network, hardware, and
 //! radio technology), while each device wanders through its own throughput
 //! trajectory.
@@ -22,7 +23,7 @@ use crate::{mix_seed, FleetError};
 use lens_nn::units::Mbps;
 use lens_runtime::{DeploymentOption, DeploymentPlanner, DominanceMap, Metric, ThroughputTracker};
 use lens_telemetry::TraceEvent;
-use lens_wireless::{Region, ThroughputTrace, WirelessTechnology};
+use lens_wireless::{Region, WirelessTechnology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -70,9 +71,9 @@ impl Cohort {
     }
 }
 
-/// The scenario-wide knobs every [`Device::serve`] call needs: the
-/// switching policy, the metric it optimizes, where shed requests go, and
-/// which cloud model prices the queueing.
+/// The scenario-wide knobs every [`Device::serve_with_sample`] call
+/// needs: the switching policy, the metric it optimizes, where shed
+/// requests go, and which cloud model prices the queueing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ServeContext<'a> {
     pub policy: &'a FleetPolicy,
@@ -198,12 +199,11 @@ const RETREAT_SALT: u64 = 0x7A11_BAC0;
 /// tail recovering instead of abandoning the region forever.
 const RETREAT_REPROBE_DIV: u64 = 16;
 
-/// One device session: trace + tracker + policy state.
+/// One device session: tracker + policy state.
 #[derive(Debug, Clone)]
 pub struct Device {
     pub(crate) cohort: u32,
     pub(crate) high_priority: bool,
-    pub(crate) trace: ThroughputTrace,
     pub(crate) tracker: ThroughputTracker,
     pub(crate) current_option: Option<u32>,
     pub(crate) next_event_us: u64,
@@ -218,7 +218,6 @@ impl Device {
     pub(crate) fn new(
         cohort: u32,
         high_priority: bool,
-        trace: ThroughputTrace,
         tracker_alpha: f64,
         seed: u64,
         first_event_us: u64,
@@ -226,7 +225,6 @@ impl Device {
         Device {
             cohort,
             high_priority,
-            trace,
             tracker: ThroughputTracker::new(tracker_alpha),
             current_option: None,
             next_event_us: first_event_us,
@@ -245,11 +243,6 @@ impl Device {
         self.high_priority
     }
 
-    /// The device's synthesized throughput trajectory.
-    pub fn trace(&self) -> &ThroughputTrace {
-        &self.trace
-    }
-
     /// Draws the next exponential inter-arrival time (µs) for Poisson
     /// arrivals from the device's own seeded stream.
     pub(crate) fn draw_interarrival_us(&mut self, mean_us: f64) -> u64 {
@@ -260,8 +253,8 @@ impl Device {
         (dt as u64).max(1)
     }
 
-    /// Serves one inference at `time_us`: observe the current trace sample,
-    /// select an option per `policy`, apply the region's published
+    /// Serves one inference at `time_us`: observe the current trace sample
+    /// `tu`, select an option per `policy`, apply the region's published
     /// admission signal (shedding to a sibling region or the local-only
     /// option), and price the inference at the *actual* throughput (the
     /// tracker only steers the choice, as in the Fig 5 loop).
@@ -271,29 +264,8 @@ impl Device {
     /// options, congestion-aware policies also weigh them during selection
     /// on the latency metric, and the shed fraction gates admission.
     ///
-    /// The engine feeds samples from its epoch-major arena via
-    /// [`Device::serve_with_sample`]; this per-device lookup wrapper
-    /// remains for unit tests exercising a single device.
-    #[cfg(test)]
-    pub(crate) fn serve(
-        &mut self,
-        cohort: &Cohort,
-        ctx: ServeContext<'_>,
-        signals: &[RegionSignal],
-        time_us: u64,
-        interval_us: u64,
-    ) -> Served {
-        let idx = ((time_us / interval_us) as usize).min(self.trace.len() - 1);
-        let tu = self.trace.samples()[idx];
-        self.serve_with_sample(cohort, ctx, signals, time_us, tu)
-    }
-
-    /// [`Device::serve`] with the trace sample supplied by the caller.
-    ///
-    /// The engine's shard step keeps every device's samples in one
-    /// epoch-major arena (all of an epoch's reads land in one contiguous
-    /// row) and feeds the sample in directly, instead of chasing each
-    /// device's own trace allocation per event.
+    /// The engine's shard step reads `tu` from its epoch-major sample
+    /// arena, where all of an epoch's reads land in one contiguous row.
     pub(crate) fn serve_with_sample(
         &mut self,
         cohort: &Cohort,
@@ -511,7 +483,6 @@ impl Device {
 mod tests {
     use super::*;
     use lens_device::{profile_network, DeviceProfile};
-    use lens_nn::units::{Mbps, Millis};
     use lens_nn::zoo;
     use lens_runtime::DeploymentKind;
     use lens_wireless::WirelessLink;
@@ -533,10 +504,6 @@ mod tests {
             fixed_index: None,
             local_index,
         }
-    }
-
-    fn flat_trace(mbps: f64, n: usize) -> ThroughputTrace {
-        ThroughputTrace::new(vec![Mbps::new(mbps); n], Millis::new(60_000.0)).unwrap()
     }
 
     fn calm(regions: usize) -> Vec<RegionSignal> {
@@ -576,8 +543,8 @@ mod tests {
     #[test]
     fn dynamic_serve_matches_dominance_map() {
         let c = cohort(Metric::Energy);
-        let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-        let served = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let served = d.serve_with_sample(
             &c,
             ServeContext {
                 policy: &FleetPolicy::Dynamic,
@@ -591,7 +558,7 @@ mod tests {
             },
             &calm(1),
             0,
-            60_000_000,
+            Mbps::new(8.0),
         );
         let expected = c.map.best_at(Mbps::new(8.0));
         assert_eq!(d.current_option, Some(expected as u32));
@@ -614,8 +581,8 @@ mod tests {
         fixed_edge.fixed_index = Some(fixed_edge.resolve_fixed(&DeploymentKind::AllEdge).unwrap());
 
         let policy = FleetPolicy::Fixed(DeploymentKind::AllCloud); // kind irrelevant post-resolve
-        let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-        let base = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let base = d.serve_with_sample(
             &fixed_cloud,
             ServeContext {
                 policy: &policy,
@@ -629,10 +596,10 @@ mod tests {
             },
             &calm(1),
             0,
-            60_000_000,
+            Mbps::new(8.0),
         );
-        let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-        let queued = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let queued = d.serve_with_sample(
             &fixed_cloud,
             ServeContext {
                 policy: &policy,
@@ -646,13 +613,13 @@ mod tests {
             },
             &waiting(500.0),
             0,
-            60_000_000,
+            Mbps::new(8.0),
         );
         assert!((queued.latency_ms - base.latency_ms - 500.0).abs() < 1e-9);
         assert!((queued.energy_mj - base.energy_mj).abs() < 1e-12);
 
-        let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-        let edge = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let edge = d.serve_with_sample(
             &fixed_edge,
             ServeContext {
                 policy: &policy,
@@ -666,10 +633,10 @@ mod tests {
             },
             &waiting(500.0),
             0,
-            60_000_000,
+            Mbps::new(8.0),
         );
-        let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-        let edge_q = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let edge_q = d.serve_with_sample(
             &fixed_edge,
             ServeContext {
                 policy: &policy,
@@ -683,7 +650,7 @@ mod tests {
             },
             &calm(1),
             0,
-            60_000_000,
+            Mbps::new(8.0),
         );
         assert!((edge.latency_ms - edge_q.latency_ms).abs() < 1e-12);
     }
@@ -692,8 +659,8 @@ mod tests {
     fn congestion_aware_routes_around_saturated_cloud() {
         let c = cohort(Metric::Latency);
         // At a high rate the base latency argmin offloads…
-        let mut d = Device::new(0, false, flat_trace(50.0, 4), 1.0, 1, 0);
-        let served = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let served = d.serve_with_sample(
             &c,
             ServeContext {
                 policy: &FleetPolicy::DynamicCongestionAware,
@@ -707,12 +674,12 @@ mod tests {
             },
             &calm(1),
             0,
-            60_000_000,
+            Mbps::new(50.0),
         );
         assert!(served.offloaded, "uncongested fast link should offload");
         // …but an hour-long queue forces All-Edge.
-        let mut d = Device::new(0, false, flat_trace(50.0, 4), 1.0, 1, 0);
-        let served = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let served = d.serve_with_sample(
             &c,
             ServeContext {
                 policy: &FleetPolicy::DynamicCongestionAware,
@@ -726,7 +693,7 @@ mod tests {
             },
             &waiting(3.6e6),
             0,
-            60_000_000,
+            Mbps::new(50.0),
         );
         assert!(
             !served.offloaded,
@@ -741,8 +708,8 @@ mod tests {
         let local = c.local_index.unwrap();
         let policy = FleetPolicy::Fixed(DeploymentKind::AllCloud);
         let signals = vec![shedding(1.0)];
-        let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-        let served = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let served = d.serve_with_sample(
             &c,
             ServeContext {
                 policy: &policy,
@@ -756,7 +723,7 @@ mod tests {
             },
             &signals,
             0,
-            60_000_000,
+            Mbps::new(8.0),
         );
         assert!(served.shed_to_local);
         assert!(!served.offloaded);
@@ -773,10 +740,10 @@ mod tests {
         let policy = FleetPolicy::Fixed(DeploymentKind::AllCloud);
         // Own region (index 0) sheds everything; region 2 is least loaded.
         let signals = vec![shedding(1.0), waiting(900.0)[0], waiting(200.0)[0]];
-        let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1, 0);
         let base = {
-            let mut d2 = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-            d2.serve(
+            let mut d2 = Device::new(0, false, 1.0, 1, 0);
+            d2.serve_with_sample(
                 &c,
                 ServeContext {
                     policy: &policy,
@@ -790,10 +757,10 @@ mod tests {
                 },
                 &calm(3),
                 0,
-                60_000_000,
+                Mbps::new(8.0),
             )
         };
-        let served = d.serve(
+        let served = d.serve_with_sample(
             &c,
             ServeContext {
                 policy: &policy,
@@ -807,7 +774,7 @@ mod tests {
             },
             &signals,
             0,
-            60_000_000,
+            Mbps::new(8.0),
         );
         assert_eq!(served.failover_region, Some(2));
         assert!(served.offloaded, "failover still occupies cloud capacity");
@@ -836,8 +803,8 @@ mod tests {
         };
         let signals = vec![shedding(1.0), pricey, cheap_but_busy];
         let serve = |dispatch| {
-            let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-            d.serve(
+            let mut d = Device::new(0, false, 1.0, 1, 0);
+            d.serve_with_sample(
                 &c,
                 ServeContext {
                     policy: &policy,
@@ -851,7 +818,7 @@ mod tests {
                 },
                 &signals,
                 0,
-                60_000_000,
+                Mbps::new(8.0),
             )
         };
         // Least-work dispatch keeps the least-wait choice…
@@ -886,8 +853,8 @@ mod tests {
             ..RegionSignal::default()
         };
         let signals = vec![shedding(1.0), cheap_but_shedding, pricey_but_open];
-        let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-        let served = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let served = d.serve_with_sample(
             &c,
             ServeContext {
                 policy: &policy,
@@ -901,7 +868,7 @@ mod tests {
             },
             &signals,
             0,
-            60_000_000,
+            Mbps::new(8.0),
         );
         assert_eq!(served.failover_region, Some(2), "{served:?}");
         assert!(served.offloaded);
@@ -914,8 +881,8 @@ mod tests {
         c.fixed_index = Some(c.resolve_fixed(&DeploymentKind::AllCloud).unwrap());
         let policy = FleetPolicy::Fixed(DeploymentKind::AllCloud);
         let signals = vec![shedding(1.0), shedding(1.0)];
-        let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-        let served = d.serve(
+        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let served = d.serve_with_sample(
             &c,
             ServeContext {
                 policy: &policy,
@@ -929,7 +896,7 @@ mod tests {
             },
             &signals,
             0,
-            60_000_000,
+            Mbps::new(8.0),
         );
         assert!(served.shed_to_local, "both regions shedding → local");
         assert!(!served.offloaded);
@@ -944,8 +911,8 @@ mod tests {
         let run = || {
             let mut shed = 0u32;
             for dev in 0..400u64 {
-                let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, dev, 0);
-                let s = d.serve(
+                let mut d = Device::new(0, false, 1.0, dev, 0);
+                let s = d.serve_with_sample(
                     &c,
                     ServeContext {
                         policy: &policy,
@@ -959,7 +926,7 @@ mod tests {
                     },
                     &signals,
                     0,
-                    60_000_000,
+                    Mbps::new(8.0),
                 );
                 shed += s.shed_to_local as u32;
             }
@@ -978,12 +945,11 @@ mod tests {
         let c = cohort(Metric::Energy);
         // A trace that jumps between a rate favouring All-Edge and one
         // favouring offload must produce a switch.
-        let samples = vec![Mbps::new(0.2), Mbps::new(40.0), Mbps::new(0.2)];
-        let trace = ThroughputTrace::new(samples, Millis::new(60_000.0)).unwrap();
-        let mut d = Device::new(0, false, trace, 1.0, 1, 0);
+        let samples = [Mbps::new(0.2), Mbps::new(40.0), Mbps::new(0.2)];
+        let mut d = Device::new(0, false, 1.0, 1, 0);
         let mut switches = 0;
-        for i in 0..3u64 {
-            let s = d.serve(
+        for (i, &tu) in (0u64..).zip(&samples) {
+            let s = d.serve_with_sample(
                 &c,
                 ServeContext {
                     policy: &FleetPolicy::Dynamic,
@@ -997,7 +963,7 @@ mod tests {
                 },
                 &calm(1),
                 i * 60_000_000,
-                60_000_000,
+                tu,
             );
             switches += s.switched as u32;
         }
@@ -1006,8 +972,8 @@ mod tests {
 
     #[test]
     fn poisson_draws_are_positive_and_deterministic() {
-        let mut a = Device::new(0, false, flat_trace(8.0, 4), 1.0, 9, 0);
-        let mut b = Device::new(0, false, flat_trace(8.0, 4), 1.0, 9, 0);
+        let mut a = Device::new(0, false, 1.0, 9, 0);
+        let mut b = Device::new(0, false, 1.0, 9, 0);
         for _ in 0..100 {
             let da = a.draw_interarrival_us(1000.0);
             assert_eq!(da, b.draw_interarrival_us(1000.0));
@@ -1131,13 +1097,13 @@ mod tests {
                 p99_ms,
                 ..RegionSignal::default()
             }];
-            let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, seed, 0);
-            d.serve(
+            let mut d = Device::new(0, false, 1.0, seed, 0);
+            d.serve_with_sample(
                 &c,
                 ctx_with(&policy, None, deadline),
                 &signals,
                 0,
-                60_000_000,
+                Mbps::new(8.0),
             )
         };
         // No published tail (fluid mode, or an idle microsim epoch): the
@@ -1183,8 +1149,8 @@ mod tests {
         let (c, policy) = all_cloud(Metric::Latency);
         let transfer_total_ms = [12.5f64];
         let serve_one = |pipeline: Option<(u32, &[f64])>, signals: &[RegionSignal]| {
-            let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, 1, 0);
-            d.serve(
+            let mut d = Device::new(0, false, 1.0, 1, 0);
+            d.serve_with_sample(
                 &c,
                 ServeContext {
                     policy: &policy,
@@ -1198,7 +1164,7 @@ mod tests {
                 },
                 signals,
                 0,
-                60_000_000,
+                Mbps::new(8.0),
             )
         };
         // Idle tier: the staged offload only pays its transfers.
@@ -1226,13 +1192,13 @@ mod tests {
         let run = |curve: &WorkloadCurve| {
             let mut offloads = 0u32;
             for dev in 0..400u64 {
-                let mut d = Device::new(0, false, flat_trace(8.0, 4), 1.0, dev, 0);
-                let s = d.serve(
+                let mut d = Device::new(0, false, 1.0, dev, 0);
+                let s = d.serve_with_sample(
                     &c,
                     ctx_with(&policy, Some(curve), None),
                     &calm(1),
                     0,
-                    60_000_000,
+                    Mbps::new(8.0),
                 );
                 assert!(!s.shed_to_local && !s.retreated);
                 offloads += s.offloaded as u32;

@@ -3,12 +3,24 @@
 //! [`FleetEngine::new`] does the design-time work once per scenario —
 //! network analysis, per-cohort option enumeration and dominance maps —
 //! and [`FleetEngine::run`] executes the population: devices are split
-//! into contiguous shards, each shard owns an event queue keyed by
-//! integer microseconds (an O(1) sorted ring under periodic arrivals, a
-//! binary heap under Poisson — `EventQueue` below) plus an epoch-major
-//! arena of its devices' throughput samples, and shards synchronize with
-//! the shared cloud only at epoch barriers (see the crate-level docs for
-//! the determinism contract and the one-epoch contention lag).
+//! into contiguous id ranges (shards), each shard owns an event queue
+//! keyed by integer microseconds (an O(1) sorted ring under periodic
+//! arrivals, a binary heap under Poisson — `EventQueue` below) plus an
+//! epoch-major arena of its devices' throughput samples, and shards
+//! synchronize with the shared cloud only at epoch barriers (see the
+//! crate-level docs for the determinism contract and the one-epoch
+//! contention lag).
+//!
+//! Under periodic arrivals a shard stores its devices in **firing
+//! order** — sorted by (phase offset, device id) — so each period's pops
+//! walk the device array and the epoch's sample row front to back instead
+//! of landing at hash-random spots. The order is bit-identical to id
+//! order: every device re-arms exactly one period later, so two events at
+//! the same µs belong to devices with the same offset, which sort by id.
+//! The ring therefore pops the same (time, device id) sequence a heap over
+//! id-ordered storage would, and every report, request run and trace event
+//! is unchanged. Poisson shards keep id order. The arena is the only copy
+//! of the samples: each synthesized trace is written into it and dropped.
 //!
 //! At each barrier the engine runs the serving tier's **batch-close
 //! events** in fluid form: merged offload counts are admitted per region,
@@ -65,18 +77,21 @@ pub struct FleetEngine {
 }
 
 struct ShardState {
+    /// The shard's devices in firing order under periodic arrivals (by
+    /// phase offset, then id), in id order under Poisson; a device's
+    /// position here is its *local* index.
     devices: Vec<Device>,
     /// Pending events keyed by (event time µs, local device index).
     queue: EventQueue,
-    /// Epoch-major throughput-sample arena: `samples[e * n + local]` is
-    /// device `local`'s sample for epoch `e`, so all of one epoch's reads
-    /// land in a single contiguous row instead of chasing every device's
-    /// own trace allocation per event.
+    /// Epoch-major throughput-sample arena, the only copy of the samples:
+    /// `samples[e * n + local]` is device `local`'s sample for epoch `e`,
+    /// so all of one epoch's reads land in a single contiguous row, read
+    /// front to back in firing order.
     samples: Vec<Mbps>,
     report: FleetReport,
-    /// Global id of this shard's first device (`local + base_id` is the
-    /// stable, shard-count-invariant device id).
-    base_id: usize,
+    /// `ids[local]` is the stable, shard-count-invariant device id that
+    /// requests and trace events carry.
+    ids: Vec<u64>,
     /// Reusable per-epoch scratch, cleared and refilled in place by
     /// `advance_shard` so the request/event buffers stay warm.
     epoch: ShardEpochOutput,
@@ -116,10 +131,10 @@ enum EventQueue {
 }
 
 impl EventQueue {
-    fn new(arrival: &ArrivalModel, mut seeds: Vec<(u64, u32)>) -> Self {
+    fn new(arrival: &ArrivalModel, seeds: Vec<(u64, u32)>) -> Self {
         match arrival {
             ArrivalModel::Periodic { .. } => {
-                seeds.sort_unstable();
+                debug_assert!(seeds.is_sorted(), "periodic shards store firing order");
                 EventQueue::Ring(VecDeque::from(seeds))
             }
             ArrivalModel::Poisson { .. } => {
@@ -290,7 +305,9 @@ impl FleetEngine {
             .unwrap_or(self.cumulative.len() - 1)
     }
 
-    fn build_device(&self, device_id: usize, num_samples: usize) -> Device {
+    /// Builds one device session and synthesizes its throughput trace,
+    /// which the caller stores in its shard's sample arena.
+    fn build_device(&self, device_id: usize, num_samples: usize) -> (Device, ThroughputTrace) {
         let scenario = &self.scenario;
         let cohort_idx = self.cohort_of(device_id);
         let cohort = &self.cohorts[cohort_idx];
@@ -311,21 +328,43 @@ impl FleetEngine {
         let mut device = Device::new(
             cohort_idx as u32,
             high_priority,
-            trace,
             scenario.tracker_alpha,
             mix_seed(dseed, 2),
             0,
         );
         device.next_event_us = match scenario.arrival {
             ArrivalModel::Periodic { period } => {
-                let period_us = to_us(period.get());
-                mix_seed(dseed, 3) % period_us
+                self.periodic_offset_us(device_id, to_us(period.get()))
             }
             ArrivalModel::Poisson { mean_interarrival } => {
                 device.draw_interarrival_us(mean_interarrival.get() * 1000.0)
             }
         };
-        device
+        (device, trace)
+    }
+
+    /// A device's first firing time under periodic arrivals: a hash-spread
+    /// phase within the first period, fixed by the device id and the
+    /// scenario seed alone.
+    fn periodic_offset_us(&self, device_id: usize, period_us: u64) -> u64 {
+        mix_seed(mix_seed(self.scenario.seed, device_id as u64), 3) % period_us
+    }
+
+    /// The device ids `lo..hi` in shard storage order: under periodic
+    /// arrivals the order they first fire, by (phase offset, id); under
+    /// Poisson arrivals, whose heap follows no fixed order, id order.
+    fn firing_order(&self, lo: usize, hi: usize) -> Vec<u64> {
+        match self.scenario.arrival {
+            ArrivalModel::Periodic { period } => {
+                let period_us = to_us(period.get());
+                let mut keyed: Vec<(u64, u64)> = (lo..hi)
+                    .map(|id| (self.periodic_offset_us(id, period_us), id as u64))
+                    .collect();
+                keyed.sort_unstable();
+                keyed.into_iter().map(|(_, id)| id).collect()
+            }
+            ArrivalModel::Poisson { .. } => (lo as u64..hi as u64).collect(),
+        }
     }
 
     /// Runs the scenario to completion and returns the merged report,
@@ -878,19 +917,23 @@ impl FleetEngine {
                 .map(|(lo, hi)| {
                     let region_names = &region_names;
                     scope.spawn(move || {
-                        let n = hi - lo;
+                        let ids = self.firing_order(lo, hi);
+                        let n = ids.len();
                         let mut devices = Vec::with_capacity(n);
                         let mut seeds = Vec::with_capacity(n);
-                        for (local, id) in (lo..hi).enumerate() {
-                            let device = self.build_device(id, num_samples);
+                        // Epoch-major sample arena: row `e` holds every
+                        // device's sample for epoch `e`, contiguously. The
+                        // placeholder is overwritten: each trace fills its
+                        // device's column.
+                        let mut samples = vec![Mbps::new(1.0); num_samples * n];
+                        for (local, &id) in ids.iter().enumerate() {
+                            let (device, trace) = self.build_device(id as usize, num_samples);
+                            debug_assert_eq!(trace.len(), num_samples);
+                            for (row, &sample) in samples.chunks_exact_mut(n).zip(trace.samples()) {
+                                row[local] = sample;
+                            }
                             seeds.push((device.next_event_us, local as u32));
                             devices.push(device);
-                        }
-                        // Epoch-major sample arena: row `e` holds every
-                        // device's sample for epoch `e`, contiguously.
-                        let mut samples = Vec::with_capacity(num_samples * n);
-                        for e in 0..num_samples {
-                            samples.extend(devices.iter().map(|d| d.trace().samples()[e]));
                         }
                         ShardState {
                             devices,
@@ -902,7 +945,7 @@ impl FleetEngine {
                                 NUM_BINS,
                                 region_names,
                             ),
-                            base_id: lo,
+                            ids,
                             epoch: ShardEpochOutput {
                                 arrivals: vec![(0, 0); num_regions],
                                 requests: vec![
@@ -1116,7 +1159,7 @@ fn advance_shard(
         queue,
         samples,
         report,
-        base_id,
+        ids,
         epoch: output,
     } = state;
     debug_assert_eq!(output.arrivals.len(), num_regions);
@@ -1138,12 +1181,13 @@ fn advance_shard(
             output.counters.heap_ops += 1;
         }
         let device = &mut devices[local as usize];
+        let device_id = ids[local as usize];
         let cohort = &cohorts[device.cohort_index()];
         let served = device.serve_with_sample(cohort, ctx, signals, time, row[local as usize]);
         if trace {
             crate::device::trace_serve_events(
                 &served,
-                (*base_id + local as usize) as u64,
+                device_id,
                 cohort.region_index as u64,
                 device.high_priority(),
                 time,
@@ -1173,7 +1217,7 @@ fn advance_shard(
             if per_request {
                 output.requests[dest].push(OffloadRequest {
                     arrival_us: time,
-                    device_id: (*base_id + local as usize) as u64,
+                    device_id,
                     stage: 1,
                     high_priority: device.high_priority(),
                     origin_region: cohort.region_index as u32,
@@ -1698,32 +1742,56 @@ mod tests {
     }
 
     #[test]
-    fn ring_queue_pops_in_heap_order_under_periodic_rearm() {
-        // The ring's sort invariant: pop-front/push-back under a fixed
-        // re-arm period must reproduce the binary heap's (time, local)
-        // pop order exactly, including ties resolved by local index.
-        let period = 1_000u64;
-        let horizon = 10_000u64;
-        let seeds: Vec<(u64, u32)> = (0..32u32)
-            .map(|local| (mix_seed(7, local as u64) % period, local))
-            .collect();
-        let mut ring = EventQueue::new(
-            &ArrivalModel::Periodic {
+    fn periodic_shard_pops_in_firing_order_and_id_ordered_heap_order() {
+        // 300 devices per shard over 1000 µs of phase: offsets collide
+        // (~45 shared pairs expected), so same-µs ties are exercised.
+        let period_us = 1_000u64;
+        let horizon_us = 6 * period_us;
+        let scenario = FleetScenario::builder()
+            .population(600)
+            .horizon(Millis::new(6.0))
+            .trace_interval(Millis::new(6.0))
+            .arrival(ArrivalModel::Periodic {
                 period: Millis::new(1.0),
-            },
-            seeds.clone(),
-        );
-        let mut heap = EventQueue::Heap(seeds.into_iter().map(Reverse).collect());
-        loop {
-            let a = ring.pop_before(horizon);
-            let b = heap.pop_before(horizon);
-            assert_eq!(a, b);
-            let Some((time, local)) = a else { break };
-            let next = time + period;
-            if next < horizon {
-                ring.push((next, local));
-                heap.push((next, local));
+            })
+            .shards(2)
+            .seed(11)
+            .build()
+            .unwrap();
+        let engine = FleetEngine::new(scenario).unwrap();
+        // The second shard, so local indices and device ids differ.
+        let mut shard = engine.build_shards(1).pop().unwrap();
+        let n = shard.devices.len();
+        let mut by_id = shard.ids.clone();
+        by_id.sort_unstable();
+        assert_eq!(by_id, (300..600).collect::<Vec<u64>>());
+
+        // The reference: a heap keyed on (time, device id), as if the
+        // devices were stored in id order.
+        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = by_id
+            .iter()
+            .map(|&id| Reverse((engine.periodic_offset_us(id as usize, period_us), id)))
+            .collect();
+        let mut popped_locals = Vec::new();
+        let mut ties = 0;
+        let mut last_time = None;
+        while let Some((time, local)) = shard.queue.pop_before(horizon_us) {
+            let Reverse((heap_time, heap_id)) = heap.pop().unwrap();
+            assert_eq!((time, shard.ids[local as usize]), (heap_time, heap_id));
+            ties += usize::from(last_time == Some(time));
+            last_time = Some(time);
+            popped_locals.push(local);
+            if time + period_us < horizon_us {
+                shard.queue.push((time + period_us, local));
+                heap.push(Reverse((heap_time + period_us, heap_id)));
             }
+        }
+        assert!(heap.is_empty());
+        assert!(ties > 0, "no two devices shared an offset");
+        assert_eq!(popped_locals.len(), 6 * n);
+        // Every period walks the storage front to back.
+        for period in popped_locals.chunks(n) {
+            assert!(period.iter().copied().eq(0..n as u32));
         }
     }
 

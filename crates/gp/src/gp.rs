@@ -135,7 +135,9 @@ impl GpRegressor {
                             best = Some(gp);
                         }
                     }
-                    Err(e) => first_err = Some(e),
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
                 }
             }
         }
@@ -253,6 +255,16 @@ mod tests {
         let (mean, _) = gp.predict(&[0.4375]);
         let truth = (0.4375f64 * std::f64::consts::TAU).sin() * 3.0 + 10.0;
         assert!((mean - truth).abs() < 0.5, "mean {mean} vs {truth}");
+    }
+
+    #[test]
+    fn fit_auto_reports_the_first_error_when_every_fit_fails() {
+        let (xs, ys) = toy_data();
+        let err = GpRegressor::fit_auto(xs, ys, Matern52::new(1.0, 1.0), &[0.2], &[-1.0, -2.0])
+            .unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("got -1"), "{message}");
+        assert!(!message.contains("-2"), "{message}");
     }
 
     #[test]

@@ -50,6 +50,12 @@ fn batched_scenario(shards: usize) -> FleetScenario {
 }
 
 fn batched_scenario_at(shards: usize, fidelity: CloudSimFidelity) -> FleetScenario {
+    batched_builder(shards, fidelity)
+        .build()
+        .expect("valid scenario")
+}
+
+fn batched_builder(shards: usize, fidelity: CloudSimFidelity) -> lens::fleet::FleetScenarioBuilder {
     // Per-region peak drain ≈ 987 jobs/min (gpu 827 + cpu 160) against an
     // eager energy-dynamic fleet whose busiest regions offload well above
     // that — so backlogs build, batches close full, and the deadline
@@ -73,8 +79,6 @@ fn batched_scenario_at(shards: usize, fidelity: CloudSimFidelity) -> FleetScenar
         .seed(23)
         .shards(shards)
         .fidelity(fidelity)
-        .build()
-        .expect("valid scenario")
 }
 
 #[test]
@@ -131,6 +135,45 @@ fn per_request_batched_report_is_bit_identical_across_1_2_4_shards() {
         assert!(one.region_tail(region).is_monotone());
     }
     assert!(one.backends().iter().any(|b| b.sojourn_ms.count() > 0));
+}
+
+#[test]
+fn poisson_report_is_bit_identical_across_shards_and_replay_modes() {
+    // Poisson arrivals keep each shard in id order behind an event heap,
+    // while periodic shards are stored in firing order: pin the Poisson
+    // side of the shard build too, in both fidelities.
+    for fidelity in [CloudSimFidelity::Fluid, CloudSimFidelity::PerRequest] {
+        let run = |shards: usize, replay: ReplayMode| {
+            let scenario = batched_builder(shards, fidelity)
+                .arrival(ArrivalModel::Poisson {
+                    mean_interarrival: Millis::new(60_000.0),
+                })
+                .replay(replay)
+                .build()
+                .expect("valid scenario");
+            FleetEngine::new(scenario)
+                .expect("engine builds")
+                .run()
+                .expect("run succeeds")
+        };
+        let one = run(1, ReplayMode::Sequential);
+        for (shards, replay) in [
+            (2, ReplayMode::Sequential),
+            (4, ReplayMode::Sequential),
+            (2, ReplayMode::Parallel),
+        ] {
+            let other = run(shards, replay);
+            assert_eq!(
+                one, other,
+                "{fidelity:?} differs at {shards} shards, {replay:?}"
+            );
+            assert_eq!(one.digest(), other.digest());
+        }
+        assert!(
+            one.shed_to_local() + one.failed_over() > 0,
+            "{fidelity:?}: the Poisson day should congest the tier"
+        );
+    }
 }
 
 /// A diurnal-ish congested scenario exercising every PR 5 feature at
