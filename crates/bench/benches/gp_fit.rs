@@ -1,11 +1,12 @@
 //! Criterion bench: Gaussian-process fit and predict — the O(n³) per-
 //! iteration cost of the Bayesian search (§IV.D), measured over the data
-//! sizes a 300-iteration run passes through.
+//! sizes a 300-iteration run passes through — and one refit period of the
+//! optimizer's suggest loop, which grows its factors instead of refitting.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lens::gp::kernel::Matern52;
 use lens::gp::GpRegressor;
-use lens_bench::workloads::gp_training_data as training_data;
+use lens_bench::workloads::{gp_training_data as training_data, SuggestWorkload};
 use std::hint::black_box;
 
 fn bench_gp(c: &mut Criterion) {
@@ -40,6 +41,11 @@ fn bench_gp(c: &mut Criterion) {
             acc
         })
     });
+
+    // One refit period of the search loop at n = 200: 25 suggest + tell
+    // steps over 192-candidate pools with 3 objectives.
+    let workload = SuggestWorkload::new();
+    group.bench_function("suggest", |b| b.iter(|| workload.run()));
     group.finish();
 }
 

@@ -7,7 +7,7 @@
 //! (`fleet/run_flash_crowd/10000`), the staged split-inference pipeline
 //! (`fleet/pipeline/10000`), and the search-side paths that gate
 //! fleet-in-the-loop NAS (`pareto/build_front/5000`, `gp/fit/300`,
-//! `pareto/hypervolume_3d`) — and fails (exit 1) if any of them
+//! `gp/suggest`, `pareto/hypervolume_3d`) — and fails (exit 1) if any of them
 //! regresses beyond a generous noise tolerance.
 //!
 //! The gate measures **in-process** (min-of-N wall clock) instead of
@@ -246,6 +246,18 @@ fn main() {
             );
         },
         baseline(&pareto_json, "gp/fit/300", "after_ms") * 1e6,
+    );
+
+    // gp/suggest — one refit period of the MOBO search loop at n = 200:
+    // the ML-II grid, then 24 suggests that grow the factors by a row per
+    // observation and solve the 192-candidate pool in blocks.
+    let suggest = workloads::SuggestWorkload::new();
+    gate.check(
+        "gp/suggest",
+        || {
+            black_box(suggest.run());
+        },
+        baseline(&pareto_json, "gp/suggest", "after_ms") * 1e6,
     );
 
     // pareto/hypervolume_3d — the 2000-point sort-and-sweep.

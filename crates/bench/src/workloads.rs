@@ -6,7 +6,10 @@
 //! workload exactly once here makes that drift impossible — the bench and
 //! the gate call the same constructor.
 
+use lens::gp::{MoboConfig, MultiObjectiveOptimizer};
 use lens::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// The plain fleet scenario behind `fleet/run/*` and
 /// `fleet/engine_build_10k`: a single unbatched 16-slot / 10 ms cloud
@@ -158,6 +161,81 @@ pub fn gp_training_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     (xs, ys)
 }
 
+/// One refit period of the MOBO search loop behind `gp/suggest` and its
+/// gate: a 3-objective optimizer that has seen 200 observations on
+/// \[0,1\]^23 takes 25 suggest + tell steps, each over a fresh
+/// 192-candidate pool (the search's `pool_random + pool_mutations`). The
+/// first suggest runs the ML-II grid; the other 24 reuse its
+/// hyperparameters, as between refits of a 20 + 200 search.
+#[derive(Debug, Clone)]
+pub struct SuggestWorkload {
+    observations: Vec<Vec<f64>>,
+    pools: Vec<Vec<Vec<f64>>>,
+}
+
+impl SuggestWorkload {
+    const OBSERVATIONS: usize = 200;
+    const STEPS: usize = 25;
+    const POOL: usize = 192;
+
+    pub fn new() -> Self {
+        let mut state = 0x1e45_5eed;
+        SuggestWorkload {
+            observations: unit_points(&mut state, Self::OBSERVATIONS),
+            pools: (0..Self::STEPS)
+                .map(|_| unit_points(&mut state, Self::POOL))
+                .collect(),
+        }
+    }
+
+    /// Runs the period on a fresh optimizer; returns its picks.
+    pub fn run(&self) -> Vec<usize> {
+        let mut optimizer = MultiObjectiveOptimizer::new(3, MoboConfig::default());
+        for x in &self.observations {
+            optimizer
+                .tell(x.clone(), suggest_objectives(x))
+                .expect("finite observation");
+        }
+        let mut rng = StdRng::seed_from_u64(7);
+        self.pools
+            .iter()
+            .map(|pool| {
+                let pick = optimizer.suggest(pool, &mut rng).expect("suggest");
+                optimizer
+                    .tell(pool[pick].clone(), suggest_objectives(&pool[pick]))
+                    .expect("finite observation");
+                pick
+            })
+            .collect()
+    }
+}
+
+impl Default for SuggestWorkload {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// Three smooth, conflicting objectives over the unit cube.
+fn suggest_objectives(x: &[f64]) -> Vec<f64> {
+    let wave: f64 = x.iter().map(|v| (v * 3.0).sin()).sum();
+    let bowl: f64 = x.iter().map(|v| (v - 0.5) * (v - 0.5)).sum();
+    let ramp: f64 = x.iter().enumerate().map(|(t, v)| v * (t + 1) as f64).sum();
+    vec![wave, bowl, -ramp]
+}
+
+/// `n` points in \[0,1)^23 from a SplitMix64 stream.
+fn unit_points(state: &mut u64, n: usize) -> Vec<Vec<f64>> {
+    let mut next = || {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..n).map(|_| (0..23).map(|_| next()).collect()).collect()
+}
+
 /// The deterministic 3-objective point stream behind the `pareto/*`
 /// benches (`build_front`, `coverage`, `combined_composition`,
 /// `hypervolume_3d`).
@@ -194,5 +272,9 @@ mod tests {
         let pipelined = pipeline_fleet_scenario();
         assert!(pipelined.pipeline().is_some_and(|p| p.depth() == 3));
         assert_eq!(pareto_points(3).len(), 3);
+        let suggest = SuggestWorkload::new();
+        assert_eq!(suggest.observations.len(), 200);
+        assert_eq!(suggest.pools.len(), 25);
+        assert!(suggest.pools.iter().all(|pool| pool.len() == 192));
     }
 }

@@ -5,7 +5,6 @@
 //! and much cheaper than the true objectives. Higher acquisition score =
 //! more attractive query point.
 
-use crate::gp::GpRegressor;
 use rand::RngCore;
 
 /// Which acquisition rule to use.
@@ -22,10 +21,10 @@ pub enum AcquisitionKind {
     ThompsonSampling,
 }
 
-/// An acquisition evaluator bound to a GP and rule.
-#[derive(Debug)]
-pub struct Acquisition<'a> {
-    gp: &'a GpRegressor,
+/// An acquisition rule with its parameters, scoring a candidate from its
+/// posterior mean and variance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Acquisition {
     kind: AcquisitionKind,
     /// Exploration weight for LCB.
     beta: f64,
@@ -33,25 +32,24 @@ pub struct Acquisition<'a> {
     incumbent: f64,
 }
 
-impl<'a> Acquisition<'a> {
+impl Acquisition {
     /// Creates an acquisition evaluator.
     ///
     /// `beta` is the LCB exploration weight; `incumbent` the best (lowest)
     /// target observed so far, used by expected improvement.
-    pub fn new(gp: &'a GpRegressor, kind: AcquisitionKind, beta: f64, incumbent: f64) -> Self {
+    pub fn new(kind: AcquisitionKind, beta: f64, incumbent: f64) -> Self {
         Acquisition {
-            gp,
             kind,
             beta,
             incumbent,
         }
     }
 
-    /// Scores a candidate (higher is better). `rng` is used only by
-    /// Thompson sampling.
-    pub fn score(&self, x: &[f64], rng: &mut dyn RngCore) -> f64 {
-        let (mean, var) = self.gp.predict(x);
-        let std = var.sqrt();
+    /// Scores a candidate whose GP posterior has the given `mean` and
+    /// `variance` (higher is better). `rng` is used only by Thompson
+    /// sampling, which draws one standard normal per call.
+    pub fn score(&self, mean: f64, variance: f64, rng: &mut dyn RngCore) -> f64 {
+        let std = variance.sqrt();
         match self.kind {
             AcquisitionKind::LowerConfidenceBound => -(mean - self.beta * std),
             AcquisitionKind::ExpectedImprovement => expected_improvement(mean, std, self.incumbent),
@@ -97,9 +95,15 @@ fn erf(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gp::GpRegressor;
     use crate::kernel::Matern52;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn score_at(gp: &GpRegressor, acq: &Acquisition, x: f64, rng: &mut StdRng) -> f64 {
+        let (mean, variance) = gp.predict(&[x]);
+        acq.score(mean, variance, rng)
+    }
 
     fn fitted_gp() -> GpRegressor {
         let xs: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64 / 5.0]).collect();
@@ -121,10 +125,10 @@ mod tests {
     fn lcb_prefers_low_mean_when_no_exploration() {
         let gp = fitted_gp();
         let mut rng = StdRng::seed_from_u64(0);
-        let acq = Acquisition::new(&gp, AcquisitionKind::LowerConfidenceBound, 0.0, 0.0);
+        let acq = Acquisition::new(AcquisitionKind::LowerConfidenceBound, 0.0, 0.0);
         // Minimum of (x-0.3)^2 is at 0.3.
-        let at_min = acq.score(&[0.3], &mut rng);
-        let away = acq.score(&[0.9], &mut rng);
+        let at_min = score_at(&gp, &acq, 0.3, &mut rng);
+        let away = score_at(&gp, &acq, 0.9, &mut rng);
         assert!(at_min > away);
     }
 
@@ -132,10 +136,10 @@ mod tests {
     fn lcb_beta_rewards_uncertainty() {
         let gp = fitted_gp();
         let mut rng = StdRng::seed_from_u64(0);
-        let explore = Acquisition::new(&gp, AcquisitionKind::LowerConfidenceBound, 50.0, 0.0);
+        let explore = Acquisition::new(AcquisitionKind::LowerConfidenceBound, 50.0, 0.0);
         // Far from data, variance is huge; with big beta that wins.
-        let far = explore.score(&[5.0], &mut rng);
-        let near = explore.score(&[0.3], &mut rng);
+        let far = score_at(&gp, &explore, 5.0, &mut rng);
+        let near = score_at(&gp, &explore, 0.3, &mut rng);
         assert!(far > near);
     }
 
@@ -143,9 +147,9 @@ mod tests {
     fn ei_is_nonnegative_and_peaks_near_optimum() {
         let gp = fitted_gp();
         let mut rng = StdRng::seed_from_u64(0);
-        let acq = Acquisition::new(&gp, AcquisitionKind::ExpectedImprovement, 0.0, 0.05);
+        let acq = Acquisition::new(AcquisitionKind::ExpectedImprovement, 0.0, 0.05);
         for x in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            assert!(acq.score(&[x], &mut rng) >= -1e-12);
+            assert!(score_at(&gp, &acq, x, &mut rng) >= -1e-12);
         }
     }
 
@@ -161,13 +165,13 @@ mod tests {
     #[test]
     fn thompson_is_stochastic_but_seed_deterministic() {
         let gp = fitted_gp();
-        let acq = Acquisition::new(&gp, AcquisitionKind::ThompsonSampling, 0.0, 0.0);
+        let acq = Acquisition::new(AcquisitionKind::ThompsonSampling, 0.0, 0.0);
         let mut rng1 = StdRng::seed_from_u64(1);
         let mut rng2 = StdRng::seed_from_u64(1);
-        let a = acq.score(&[0.5], &mut rng1);
-        let b = acq.score(&[0.5], &mut rng2);
+        let a = score_at(&gp, &acq, 0.5, &mut rng1);
+        let b = score_at(&gp, &acq, 0.5, &mut rng2);
         assert_eq!(a, b);
-        let c = acq.score(&[0.5], &mut rng1);
+        let c = score_at(&gp, &acq, 0.5, &mut rng1);
         assert_ne!(a, c);
     }
 }

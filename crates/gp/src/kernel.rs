@@ -3,10 +3,16 @@
 use lens_num::linalg::squared_distance;
 use std::fmt::Debug;
 
-/// A positive-definite covariance function.
+/// A positive-definite stationary covariance function: the covariance of
+/// two points depends only on their squared distance.
 pub trait Kernel: Debug + Send + Sync {
+    /// Covariance of two points at squared Euclidean distance `d2`.
+    fn eval_sq_dist(&self, d2: f64) -> f64;
+
     /// Covariance between two points.
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64;
+    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
+        self.eval_sq_dist(squared_distance(a, b))
+    }
 
     /// Prior variance at a point, `k(x, x)`.
     fn diagonal(&self) -> f64;
@@ -44,8 +50,7 @@ impl SquaredExponential {
 }
 
 impl Kernel for SquaredExponential {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let d2 = squared_distance(a, b);
+    fn eval_sq_dist(&self, d2: f64) -> f64 {
         self.variance * (-d2 / (2.0 * self.lengthscale * self.lengthscale)).exp()
     }
 
@@ -88,8 +93,8 @@ impl Matern52 {
 }
 
 impl Kernel for Matern52 {
-    fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
-        let r = squared_distance(a, b).sqrt() / self.lengthscale;
+    fn eval_sq_dist(&self, d2: f64) -> f64 {
+        let r = d2.sqrt() / self.lengthscale;
         let sqrt5_r = 5f64.sqrt() * r;
         self.variance * (1.0 + sqrt5_r + 5.0 * r * r / 3.0) * (-sqrt5_r).exp()
     }

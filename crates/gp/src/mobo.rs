@@ -10,12 +10,16 @@
 //! tells the result back.
 
 use crate::acquisition::{Acquisition, AcquisitionKind};
-use crate::gp::GpRegressor;
+use crate::gp::{select, squared_distances, Factor, Selection, Standardized, Weights};
 use crate::kernel::Matern52;
 use crate::GpError;
 use lens_num::dist::simplex_weights;
 use lens_pareto::ParetoFront;
 use rand::RngCore;
+
+/// Candidates whose posteriors are computed together: the width of the
+/// block forward solve over the pool.
+const BLOCK: usize = 8;
 
 /// Configuration of the MOBO driver.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +33,8 @@ pub struct MoboConfig {
     /// ML-II observation-noise grid (standardized-target units).
     pub noises: Vec<f64>,
     /// Re-run the ML-II grid search every this many new observations;
-    /// between refits only the Cholesky is recomputed.
+    /// between refits the hyperparameters stay and each GP's Cholesky
+    /// factor grows by one row per told observation.
     pub refit_every: usize,
 }
 
@@ -46,6 +51,11 @@ impl Default for MoboConfig {
 }
 
 /// Ask/tell multi-objective Bayesian optimizer (minimization).
+///
+/// The optimizer owns its surrogates' state: the Cholesky factors the last
+/// ML-II refit chose, one per distinct (lengthscale, noise), which grow by
+/// one row per observation until the next refit. Every pick equals the one
+/// a from-scratch refit of each GP would give.
 ///
 /// # Examples
 ///
@@ -73,8 +83,11 @@ pub struct MultiObjectiveOptimizer {
     num_objectives: usize,
     xs: Vec<Vec<f64>>,
     ys: Vec<Vec<f64>>,
-    /// Cached `(lengthscale, noise)` per objective from the last ML-II fit.
-    hypers: Vec<(f64, f64)>,
+    /// The distinct factors of the last ML-II refit, each covering a prefix
+    /// of `xs` and grown to all of it on the next `suggest`.
+    factors: Vec<Factor>,
+    /// Index into `factors` of each objective's GP.
+    objective_factor: Vec<usize>,
     tells_since_refit: usize,
 }
 
@@ -90,13 +103,13 @@ impl MultiObjectiveOptimizer {
             !config.lengthscales.is_empty() && !config.noises.is_empty(),
             "hyperparameter grids must be non-empty"
         );
-        let default_hyper = (config.lengthscales[0], config.noises[0]);
         MultiObjectiveOptimizer {
             config,
             num_objectives,
             xs: Vec::new(),
             ys: Vec::new(),
-            hypers: vec![default_hyper; num_objectives],
+            factors: Vec::new(),
+            objective_factor: Vec::new(),
             tells_since_refit: usize::MAX / 2, // force ML-II on first suggest
         }
     }
@@ -120,8 +133,8 @@ impl MultiObjectiveOptimizer {
     ///
     /// # Errors
     ///
-    /// Returns [`GpError::InvalidTrainingData`] for dimension mismatches or
-    /// non-finite values.
+    /// Returns [`GpError::InvalidTrainingData`] for an empty input,
+    /// dimension mismatches or non-finite values.
     pub fn tell(&mut self, x: Vec<f64>, y: Vec<f64>) -> Result<(), GpError> {
         if y.len() != self.num_objectives {
             return Err(GpError::InvalidTrainingData(format!(
@@ -129,6 +142,9 @@ impl MultiObjectiveOptimizer {
                 self.num_objectives,
                 y.len()
             )));
+        }
+        if x.is_empty() {
+            return Err(GpError::InvalidTrainingData("empty input".into()));
         }
         if let Some(first) = self.xs.first() {
             if first.len() != x.len() {
@@ -156,38 +172,70 @@ impl MultiObjectiveOptimizer {
         self.ys.iter().cloned().enumerate().collect()
     }
 
-    /// Fits the per-objective GPs (ML-II grid search when due, otherwise the
-    /// cached hyperparameters).
-    fn fit_gps(&mut self) -> Result<Vec<GpRegressor>, GpError> {
-        let refit = self.tells_since_refit >= self.config.refit_every;
-        let mut gps = Vec::with_capacity(self.num_objectives);
-        for k in 0..self.num_objectives {
-            let targets: Vec<f64> = self.ys.iter().map(|y| y[k]).collect();
-            let gp = if refit {
-                let gp = GpRegressor::fit_auto(
-                    self.xs.clone(),
-                    targets,
-                    Matern52::new(1.0, 1.0),
-                    &self.config.lengthscales,
-                    &self.config.noises,
-                )?;
-                self.hypers[k] = (gp.lengthscale(), gp.noise());
-                gp
-            } else {
-                let (ls, noise) = self.hypers[k];
-                GpRegressor::fit_boxed(
-                    self.xs.clone(),
-                    targets,
-                    Box::new(Matern52::new(ls, 1.0)),
-                    noise,
-                )?
-            };
-            gps.push(gp);
-        }
-        if refit {
+    /// Brings every objective's GP up to date with the observations and
+    /// returns their weights: an ML-II refit when due, otherwise each
+    /// factor grows by the rows of the points told since.
+    fn fit_gps(&mut self) -> Result<Vec<Weights>, GpError> {
+        let targets = (0..self.num_objectives)
+            .map(|k| Standardized::new(&self.ys.iter().map(|y| y[k]).collect::<Vec<_>>()))
+            .collect::<Result<Vec<_>, _>>()?;
+        if self.tells_since_refit >= self.config.refit_every {
+            let n = self.xs.len();
+            let Selection { factors, fits } = select(
+                &self.xs,
+                &targets,
+                &Matern52::new(1.0, 1.0),
+                &self.config.lengthscales,
+                &self.config.noises,
+                n + self.config.refit_every.min(n),
+            )?;
+            self.factors = factors;
+            self.objective_factor = fits.iter().map(|fit| fit.factor).collect();
             self.tells_since_refit = 0;
+            return Ok(fits.into_iter().map(|fit| fit.weights).collect());
         }
-        Ok(gps)
+        for &f in &self.objective_factor {
+            self.factors[f].extend(&self.xs)?;
+        }
+        Ok(targets
+            .iter()
+            .zip(&self.objective_factor)
+            .map(|(target, &f)| target.solve(&self.factors[f]))
+            .collect())
+    }
+
+    /// Posterior (mean, variance) of every objective's GP at every
+    /// candidate, objective-major. The pool goes through in blocks of
+    /// [`BLOCK`] candidates; each block's squared distances are shared by
+    /// all objectives, and its kernel block and forward solve by the
+    /// objectives on the same factor.
+    fn posteriors(&self, candidates: &[Vec<f64>], weights: &[Weights]) -> Vec<Vec<(f64, f64)>> {
+        // The objectives on each factor, and their weights.
+        let groups: Vec<(Vec<usize>, Vec<&Weights>)> = (0..self.factors.len())
+            .map(|f| {
+                let objectives: Vec<usize> = (0..self.num_objectives)
+                    .filter(|&k| self.objective_factor[k] == f)
+                    .collect();
+                let gps = objectives.iter().map(|&k| &weights[k]).collect();
+                (objectives, gps)
+            })
+            .collect();
+        let mut posteriors = vec![Vec::with_capacity(candidates.len()); self.num_objectives];
+        let (mut d2, mut block) = (Vec::new(), Vec::new());
+        let mut out = vec![[(0.0, 0.0); BLOCK]; self.num_objectives];
+        for chunk in candidates.chunks(BLOCK) {
+            // A short last block repeats its first candidate.
+            let queries = std::array::from_fn(|c| chunk.get(c).unwrap_or(&chunk[0]).as_slice());
+            squared_distances(&self.xs, queries, &mut d2);
+            for (factor, (objectives, gps)) in self.factors.iter().zip(&groups) {
+                let out = &mut out[..gps.len()];
+                factor.posterior(&d2, gps, &mut block, out);
+                for (&k, column) in objectives.iter().zip(out.iter()) {
+                    posteriors[k].extend_from_slice(&column[..chunk.len()]);
+                }
+            }
+        }
+        posteriors
     }
 
     /// Chooses the most promising candidate: builds the randomly scalarized
@@ -196,34 +244,49 @@ impl MultiObjectiveOptimizer {
     ///
     /// Per-objective acquisition scores are z-normalized across the pool
     /// before weighting so objectives with different units mix sanely.
+    /// The RNG draws the weights first, then (Thompson sampling only) one
+    /// normal per objective and candidate, objective-major.
     ///
     /// # Errors
     ///
-    /// Returns [`GpError::InvalidTrainingData`] if nothing has been told or
-    /// `candidates` is empty; propagates GP fit failures.
+    /// Returns [`GpError::InvalidTrainingData`] if nothing has been told,
+    /// `candidates` is empty, or a candidate has the wrong dimension or a
+    /// non-finite value; propagates GP fit failures.
     pub fn suggest(
         &mut self,
         candidates: &[Vec<f64>],
         rng: &mut dyn RngCore,
     ) -> Result<usize, GpError> {
-        if self.xs.is_empty() {
+        let Some(dim) = self.xs.first().map(Vec::len) else {
             return Err(GpError::InvalidTrainingData(
                 "tell at least one observation before suggest".into(),
             ));
-        }
+        };
         if candidates.is_empty() {
             return Err(GpError::InvalidTrainingData(
                 "candidate pool is empty".into(),
             ));
         }
-        let gps = self.fit_gps()?;
+        if let Some(bad) = candidates
+            .iter()
+            .position(|c| c.len() != dim || c.iter().any(|v| !v.is_finite()))
+        {
+            return Err(GpError::InvalidTrainingData(format!(
+                "candidate {bad} must hold {dim} finite values"
+            )));
+        }
+        let gp_weights = self.fit_gps()?;
         let weights = simplex_weights(rng, self.num_objectives);
+        let posteriors = self.posteriors(candidates, &gp_weights);
 
         let mut combined = vec![0.0; candidates.len()];
-        for (k, gp) in gps.iter().enumerate() {
+        for (k, posterior) in posteriors.iter().enumerate() {
             let incumbent = self.ys.iter().map(|y| y[k]).fold(f64::INFINITY, f64::min);
-            let acq = Acquisition::new(gp, self.config.acquisition, self.config.beta, incumbent);
-            let scores: Vec<f64> = candidates.iter().map(|c| acq.score(c, rng)).collect();
+            let acq = Acquisition::new(self.config.acquisition, self.config.beta, incumbent);
+            let scores: Vec<f64> = posterior
+                .iter()
+                .map(|&(mean, variance)| acq.score(mean, variance, rng))
+                .collect();
             let normalized = z_normalize(&scores);
             for (ci, s) in normalized.iter().enumerate() {
                 combined[ci] += weights[k] * s;
@@ -259,6 +322,7 @@ fn argmax(values: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gp::GpRegressor;
     use lens_pareto::hypervolume;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -343,6 +407,98 @@ mod tests {
         opt.tell(vec![0.5], vec![1.0, 2.0]).unwrap();
         assert!(opt.tell(vec![0.5, 0.1], vec![1.0, 2.0]).is_err()); // dim change
         assert_eq!(opt.num_observations(), 1);
+    }
+
+    /// Across refits and growth, every objective's posterior over the pool
+    /// is bit for bit what a from-scratch `GpRegressor` under the same
+    /// hyperparameters predicts one point at a time.
+    #[test]
+    fn grown_factor_posteriors_are_bit_identical_to_from_scratch_fits() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let config = MoboConfig {
+            refit_every: 9,
+            ..MoboConfig::default()
+        };
+        let mut opt = MultiObjectiveOptimizer::new(3, config);
+        // Negated targets have the same likelihood everywhere, so objectives
+        // 0 and 2 always share a factor and objective 1 has its own.
+        let objectives = |x: &[f64]| {
+            let sum: f64 = x.iter().sum();
+            vec![sum, x[0] * (x[1] - 0.5).powi(2), -sum]
+        };
+        for _ in 0..4 {
+            let x = random_point(&mut rng, 4);
+            opt.tell(x.clone(), objectives(&x)).unwrap();
+        }
+        let bits = |(mean, variance): (f64, f64)| (mean.to_bits(), variance.to_bits());
+        for _ in 0..30 {
+            let pool: Vec<Vec<f64>> = (0..13).map(|_| random_point(&mut rng, 4)).collect();
+            let weights = opt.fit_gps().unwrap();
+            let posteriors = opt.posteriors(&pool, &weights);
+            assert_eq!(opt.factors.len(), 2);
+            for (k, posterior) in posteriors.iter().enumerate() {
+                let (lengthscale, noise) = opt.factors[opt.objective_factor[k]].hyperparameters();
+                let targets = opt.ys.iter().map(|y| y[k]).collect();
+                let gp = GpRegressor::fit(
+                    opt.xs.clone(),
+                    targets,
+                    Matern52::new(lengthscale, 1.0),
+                    noise,
+                )
+                .unwrap();
+                for (c, candidate) in pool.iter().enumerate() {
+                    assert_eq!(bits(posterior[c]), bits(gp.predict(candidate)));
+                }
+            }
+            let x = pool[rng.gen_range(0..pool.len())].clone();
+            opt.tell(x.clone(), objectives(&x)).unwrap();
+        }
+    }
+
+    #[test]
+    fn tell_rejects_an_empty_input() {
+        let mut opt = MultiObjectiveOptimizer::new(1, MoboConfig::default());
+        assert!(matches!(
+            opt.tell(vec![], vec![1.0]),
+            Err(GpError::InvalidTrainingData(_))
+        ));
+        assert_eq!(opt.num_observations(), 0);
+    }
+
+    fn told_optimizer() -> MultiObjectiveOptimizer {
+        let mut opt = MultiObjectiveOptimizer::new(2, MoboConfig::default());
+        for i in 0..4 {
+            let x = i as f64 / 3.0;
+            opt.tell(vec![x, 1.0 - x], vec![x, x * x]).unwrap();
+        }
+        opt
+    }
+
+    #[test]
+    fn suggest_rejects_a_non_finite_candidate() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut opt = told_optimizer();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let pool = vec![vec![0.2, 0.3], vec![0.4, bad], vec![0.9, 0.1]];
+            assert!(matches!(
+                opt.suggest(&pool, &mut rng),
+                Err(GpError::InvalidTrainingData(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn suggest_rejects_a_wrong_dimension_candidate() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut opt = told_optimizer();
+        for bad in [vec![0.4], vec![0.4, 0.5, 0.6]] {
+            let pool = vec![vec![0.2, 0.3], bad];
+            assert!(matches!(
+                opt.suggest(&pool, &mut rng),
+                Err(GpError::InvalidTrainingData(_))
+            ));
+        }
+        assert!(opt.suggest(&[vec![0.2, 0.3]], &mut rng).is_ok());
     }
 
     #[test]

@@ -2,11 +2,20 @@
 //! regression: products, transpose, Cholesky factorization and triangular
 //! solves.
 //!
-//! The implementation favours clarity over blocked performance; the matrices
-//! handled by the LENS search (kernel Grams of a few hundred points) are
-//! small enough that a straightforward `O(n^3)` Cholesky is more than fast
-//! enough, and a Criterion bench (`gp_fit`) tracks the cubic scaling the
-//! paper refers to in §IV.D.
+//! [`Cholesky`] stores its lower-triangular factor packed row by row, so row
+//! `i` is one contiguous slice of `i + 1` entries and the factor takes half
+//! the memory of a square matrix. It is built one row at a time:
+//! [`Cholesky::push_row`] runs the Cholesky–Banachiewicz row loop on one new
+//! row. That loop reads only the rows above, so appending row `n` to the
+//! factor of the leading `n × n` block gives, bit for bit, the factor a
+//! from-scratch [`Matrix::cholesky`] computes — which is itself `n` pushes.
+//! A GP whose training set grows by one point therefore extends its factor
+//! in `O(n²)` instead of refactoring in `O(n³)`.
+//!
+//! [`Cholesky::solve_lower_block`] runs forward substitution on a block of
+//! right-hand sides at once: every column sees exactly the operations
+//! [`Cholesky::solve_lower`] would apply to it, in the same order, but the
+//! columns are independent, so the solve is no longer one dependent chain.
 
 use crate::NumError;
 use std::fmt;
@@ -190,8 +199,8 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`NumError::NotPositiveDefinite`] if a pivot is not strictly
-    /// positive, and [`NumError::DimensionMismatch`] if the matrix is not
-    /// square. Only the lower triangle of `self` is read.
+    /// positive (or is NaN), and [`NumError::DimensionMismatch`] if the
+    /// matrix is not square. Only the lower triangle of `self` is read.
     pub fn cholesky(&self) -> Result<Cholesky, NumError> {
         if self.rows != self.cols {
             return Err(NumError::DimensionMismatch {
@@ -200,25 +209,11 @@ impl Matrix {
                 rhs: self.shape(),
             });
         }
-        let n = self.rows;
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = self[(i, j)];
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 {
-                        return Err(NumError::NotPositiveDefinite { pivot: i });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
+        let mut chol = Cholesky::with_capacity(self.rows);
+        for i in 0..self.rows {
+            chol.push_row(&self.row(i)[..=i])?;
         }
-        Ok(Cholesky { l })
+        Ok(chol)
     }
 
     /// Frobenius norm.
@@ -285,36 +280,103 @@ impl Mul<f64> for &Matrix {
 }
 
 /// The lower-triangular Cholesky factor of a symmetric positive-definite
-/// matrix, together with the solve routines GP regression needs.
+/// matrix, stored packed row by row, together with the solve routines GP
+/// regression needs. The default value is the factor of the empty matrix,
+/// which [`push_row`](Self::push_row) grows.
 ///
 /// # Examples
 ///
 /// ```
-/// use lens_num::linalg::Matrix;
+/// use lens_num::linalg::{Cholesky, Matrix};
 ///
 /// # fn main() -> Result<(), lens_num::NumError> {
 /// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]])?;
 /// let chol = a.cholesky()?;
 /// // log|A| = 2 * sum(log diag(L)); |A| = 3 here.
 /// assert!((chol.log_det() - 3f64.ln()).abs() < 1e-12);
+///
+/// // Growing the factor row by row gives the same factor.
+/// let mut grown = Cholesky::default();
+/// grown.push_row(&[2.0])?;
+/// grown.push_row(&[1.0, 2.0])?;
+/// assert_eq!(grown, chol);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cholesky {
-    l: Matrix,
+    dim: usize,
+    /// Row `i` of `L` (its `i + 1` entries up to the diagonal) starts at
+    /// offset `i (i + 1) / 2`.
+    packed: Vec<f64>,
 }
 
 #[allow(clippy::needless_range_loop)]
 impl Cholesky {
-    /// Borrows the lower-triangular factor `L`.
-    pub fn factor(&self) -> &Matrix {
-        &self.l
+    /// An empty factor with room for `rows` rows before it reallocates.
+    pub fn with_capacity(rows: usize) -> Self {
+        Cholesky {
+            dim: 0,
+            packed: Vec::with_capacity(rows * (rows + 1) / 2),
+        }
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.l.rows
+        self.dim
+    }
+
+    /// Row `i` of `L`: its `i + 1` entries up to and including the
+    /// diagonal.
+    fn row(&self, i: usize) -> &[f64] {
+        &self.packed[i * (i + 1) / 2..][..=i]
+    }
+
+    /// Extends the factor of the leading `n × n` block of a symmetric
+    /// positive-definite matrix to the `(n + 1) × (n + 1)` block, given that
+    /// block's last row up to the diagonal (`row.len() == n + 1`).
+    ///
+    /// The new row is computed with the row loop of a from-scratch
+    /// factorization, so the result is bit-identical to factoring the
+    /// larger block directly.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumError::DimensionMismatch`] if `row` does not have
+    /// `dim() + 1` entries, and [`NumError::NotPositiveDefinite`] if the new
+    /// pivot is not strictly positive (or is NaN). On error the factor is
+    /// unchanged.
+    pub fn push_row(&mut self, row: &[f64]) -> Result<(), NumError> {
+        let i = self.dim;
+        if row.len() != i + 1 {
+            return Err(NumError::DimensionMismatch {
+                op: "push_row",
+                lhs: (i + 1, i + 1),
+                rhs: (1, row.len()),
+            });
+        }
+        let start = self.packed.len();
+        self.packed.reserve(i + 1);
+        for j in 0..i {
+            let lj = self.row(j);
+            let mut sum = row[j];
+            for (lik, ljk) in self.packed[start..].iter().zip(lj) {
+                sum -= lik * ljk;
+            }
+            let lij = sum / lj[j];
+            self.packed.push(lij);
+        }
+        let mut sum = row[i];
+        for lik in &self.packed[start..] {
+            sum -= lik * lik;
+        }
+        if sum.is_nan() || sum <= 0.0 {
+            self.packed.truncate(start);
+            return Err(NumError::NotPositiveDefinite { pivot: i });
+        }
+        self.packed.push(sum.sqrt());
+        self.dim += 1;
+        Ok(())
     }
 
     /// Solves `L y = b` by forward substitution.
@@ -330,13 +392,47 @@ impl Cholesky {
         assert_eq!(b.len(), n, "rhs length mismatch in solve_lower");
         let mut y = vec![0.0; n];
         for i in 0..n {
+            let li = self.row(i);
             let mut sum = b[i];
             for k in 0..i {
-                sum -= self.l[(i, k)] * y[k];
+                sum -= li[k] * y[k];
             }
-            y[i] = sum / self.l[(i, i)];
+            y[i] = sum / li[i];
         }
         y
+    }
+
+    /// Solves `L Y = B` in place for `W` right-hand sides at once; row `i`
+    /// of `b` holds entry `i` of every column.
+    ///
+    /// Each column goes through exactly the operations
+    /// [`solve_lower`](Self::solve_lower) applies to it, in the same order,
+    /// so every column of the result is bit-identical to a one-column
+    /// solve. The columns are independent of one another, which lets the
+    /// `W` running sums proceed side by side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len()` differs from the factor dimension.
+    pub fn solve_lower_block<const W: usize>(&self, b: &mut [[f64; W]]) {
+        assert_eq!(
+            b.len(),
+            self.dim(),
+            "rhs length mismatch in solve_lower_block"
+        );
+        for i in 0..b.len() {
+            let li = self.row(i);
+            let (solved, rest) = b.split_at_mut(i);
+            let mut sum = rest[0];
+            for (lik, yk) in li.iter().zip(solved.iter()) {
+                for c in 0..W {
+                    sum[c] -= lik * yk[c];
+                }
+            }
+            for c in 0..W {
+                rest[0][c] = sum[c] / li[i];
+            }
+        }
     }
 
     /// Solves `Lᵀ x = y` by backward substitution.
@@ -351,9 +447,9 @@ impl Cholesky {
         for i in (0..n).rev() {
             let mut sum = y[i];
             for k in i + 1..n {
-                sum -= self.l[(k, i)] * x[k];
+                sum -= self.row(k)[i] * x[k];
             }
-            x[i] = sum / self.l[(i, i)];
+            x[i] = sum / self.row(i)[i];
         }
         x
     }
@@ -369,7 +465,7 @@ impl Cholesky {
 
     /// Log-determinant of the factored matrix, `log |A| = 2 Σ log L_ii`.
     pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
+        (0..self.dim()).map(|i| self.row(i)[i].ln()).sum::<f64>() * 2.0
     }
 }
 
@@ -439,6 +535,39 @@ mod tests {
         );
     }
 
+    /// The factor as a square lower-triangular matrix.
+    fn lower(chol: &Cholesky) -> Matrix {
+        let n = chol.dim();
+        Matrix::from_fn(n, n, |i, j| if j <= i { chol.row(i)[j] } else { 0.0 })
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The textbook square-storage Cholesky–Banachiewicz loop, the
+    /// reference the packed factor must reproduce bit for bit.
+    fn textbook_cholesky(a: &Matrix) -> Vec<f64> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                l[(i, j)] = if i == j { sum.sqrt() } else { sum / l[(j, j)] };
+            }
+        }
+        (0..n).flat_map(|i| l.row(i)[..=i].to_vec()).collect()
+    }
+
+    /// A random SPD matrix `BᵀB + εI` of order `n`.
+    fn spd(entries: &[f64], n: usize) -> Matrix {
+        let b = Matrix::from_fn(n + 2, n, |i, j| entries[(i * n + j) % entries.len()]);
+        b.transpose().matmul(&b).unwrap().add_diagonal(1e-3)
+    }
+
     #[test]
     fn cholesky_reconstructs_matrix() {
         let a = Matrix::from_rows(&[
@@ -447,13 +576,13 @@ mod tests {
             &[-16.0, -43.0, 98.0],
         ])
         .unwrap();
-        let l = a.cholesky().unwrap();
-        let reconstructed = l.factor().matmul(&l.factor().transpose()).unwrap();
+        let l = lower(&a.cholesky().unwrap());
+        let reconstructed = l.matmul(&l.transpose()).unwrap();
         assert!((&reconstructed - &a).frobenius_norm() < 1e-9);
         // Known factor from the classic example.
-        assert_eq!(l.factor()[(0, 0)], 2.0);
-        assert_eq!(l.factor()[(1, 0)], 6.0);
-        assert_eq!(l.factor()[(2, 2)], 3.0);
+        assert_eq!(l[(0, 0)], 2.0);
+        assert_eq!(l[(1, 0)], 6.0);
+        assert_eq!(l[(2, 2)], 3.0);
     }
 
     #[test]
@@ -463,6 +592,43 @@ mod tests {
             a.cholesky(),
             Err(NumError::NotPositiveDefinite { pivot: 1 })
         ));
+    }
+
+    #[test]
+    fn cholesky_rejects_a_nan_pivot() {
+        let a = Matrix::from_rows(&[&[f64::NAN]]).unwrap();
+        assert_eq!(
+            a.cholesky().unwrap_err(),
+            NumError::NotPositiveDefinite { pivot: 0 }
+        );
+        let b = Matrix::from_rows(&[&[4.0, 0.0], &[f64::NAN, 1.0]]).unwrap();
+        assert_eq!(
+            b.cholesky().unwrap_err(),
+            NumError::NotPositiveDefinite { pivot: 1 }
+        );
+    }
+
+    #[test]
+    fn failed_push_leaves_the_factor_unchanged() {
+        let mut chol = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]])
+            .unwrap()
+            .cholesky()
+            .unwrap();
+        let before = chol.clone();
+        for bad in [[1.0, 1.0, f64::NAN], [2.0, 1.0, 0.5], [1.0, f64::NAN, 9.0]] {
+            assert_eq!(
+                chol.push_row(&bad).unwrap_err(),
+                NumError::NotPositiveDefinite { pivot: 2 }
+            );
+            assert_eq!(chol, before);
+        }
+        assert!(matches!(
+            chol.push_row(&[1.0, 1.0]),
+            Err(NumError::DimensionMismatch { .. })
+        ));
+        assert_eq!(chol, before);
+        chol.push_row(&[1.0, 1.0, 9.0]).unwrap();
+        assert_eq!(chol.dim(), 3);
     }
 
     #[test]
@@ -527,6 +693,48 @@ mod tests {
             let back = a.matvec(&x).unwrap();
             for (bi, ri) in back.iter().zip(&rhs) {
                 prop_assert!((bi - ri).abs() < 1e-6, "residual too large: {} vs {}", bi, ri);
+            }
+        }
+
+        /// A factor grown one `push_row` at a time from the empty factor,
+        /// and its solves and log-determinant, are bit-identical to those
+        /// of `Matrix::cholesky` at every size along the way, and both
+        /// match the textbook square-storage loop.
+        #[test]
+        fn prop_grown_factor_is_bit_identical_to_cholesky(
+            entries in proptest::collection::vec(-3.0f64..3.0, 1..=40),
+            n in 1usize..=12,
+            rhs in proptest::collection::vec(-5.0f64..5.0, 12),
+        ) {
+            let a = spd(&entries, n);
+            let mut grown = Cholesky::default();
+            for m in 1..=n {
+                grown.push_row(&a.row(m - 1)[..m]).unwrap();
+                let leading = Matrix::from_fn(m, m, |i, j| a[(i, j)]);
+                let direct = leading.cholesky().unwrap();
+                prop_assert_eq!(bits(&direct.packed), bits(&textbook_cholesky(&leading)));
+                prop_assert_eq!(bits(&grown.packed), bits(&direct.packed));
+                prop_assert_eq!(grown.log_det().to_bits(), direct.log_det().to_bits());
+                prop_assert_eq!(bits(&grown.solve(&rhs[..m])), bits(&direct.solve(&rhs[..m])));
+            }
+        }
+
+        /// Every column of the block forward solve is bit-identical to a
+        /// one-column `solve_lower`.
+        #[test]
+        fn prop_block_solve_is_bit_identical_per_column(
+            entries in proptest::collection::vec(-3.0f64..3.0, 1..=40),
+            n in 1usize..=12,
+            columns in proptest::collection::vec(-5.0f64..5.0, 12 * 5),
+        ) {
+            let chol = spd(&entries, n).cholesky().unwrap();
+            let mut block: Vec<[f64; 5]> =
+                (0..n).map(|i| std::array::from_fn(|c| columns[c * 12 + i])).collect();
+            chol.solve_lower_block(&mut block);
+            for c in 0..5 {
+                let column: Vec<f64> = block.iter().map(|row| row[c]).collect();
+                let single = chol.solve_lower(&columns[c * 12..c * 12 + n]);
+                prop_assert_eq!(bits(&column), bits(&single));
             }
         }
 

@@ -51,6 +51,8 @@ impl RidgeRegression {
     /// * [`NumError::EmptyInput`] if `xs` is empty or has zero-width rows.
     /// * [`NumError::RaggedRows`] if feature rows disagree in length.
     /// * [`NumError::DimensionMismatch`] if `xs.len() != ys.len()`.
+    /// * [`NumError::NotPositiveDefinite`] if the normal equations do not
+    ///   factor, as with a NaN feature.
     pub fn fit<R: AsRef<[f64]>>(xs: &[R], ys: &[f64], lambda: f64) -> Result<Self, NumError> {
         if xs.is_empty() {
             return Err(NumError::EmptyInput("ridge regression features"));
@@ -203,6 +205,15 @@ mod tests {
         assert!(matches!(
             RidgeRegression::fit(&xs, &[1.0, 2.0], 1.0),
             Err(NumError::RaggedRows { .. })
+        ));
+    }
+
+    #[test]
+    fn nan_feature_fails_the_factorization() {
+        let xs = vec![vec![1.0, 2.0], vec![f64::NAN, 3.0], vec![3.0, 1.0]];
+        assert!(matches!(
+            RidgeRegression::fit(&xs, &[1.0, 2.0, 3.0], 1e-3),
+            Err(NumError::NotPositiveDefinite { pivot: 0 })
         ));
     }
 
