@@ -55,12 +55,12 @@ fn batched_scenario_at(shards: usize, fidelity: CloudSimFidelity) -> FleetScenar
         .expect("valid scenario")
 }
 
-fn batched_builder(shards: usize, fidelity: CloudSimFidelity) -> lens::fleet::FleetScenarioBuilder {
-    // Per-region peak drain ≈ 987 jobs/min (gpu 827 + cpu 160) against an
-    // eager energy-dynamic fleet whose busiest regions offload well above
-    // that — so backlogs build, batches close full, and the deadline
-    // controller sheds into failover and local fallback.
-    let serving = CloudServing::new(vec![
+/// Per-region peak drain ≈ 987 jobs/min (gpu 827 + cpu 160) against an
+/// eager energy-dynamic fleet whose busiest regions offload well above
+/// that — so backlogs build, batches close full, and the deadline
+/// controller sheds into failover and local fallback.
+fn batched_serving() -> CloudServing {
+    CloudServing::new(vec![
         BackendConfig::new("gpu", 1, 2000.0, 10.0).with_batching(32, 500.0),
         BackendConfig::new("cpu", 1, 500.0, 250.0).with_batching(4, 250.0),
     ])
@@ -68,12 +68,15 @@ fn batched_builder(shards: usize, fidelity: CloudSimFidelity) -> lens::fleet::Fl
     .with_admission(AdmissionPolicy::Deadline {
         max_wait_ms: 10_000.0,
     })
-    .with_failover(FailoverPolicy::SiblingRegion { penalty_ms: 80.0 });
+    .with_failover(FailoverPolicy::SiblingRegion { penalty_ms: 80.0 })
+}
+
+fn batched_builder(shards: usize, fidelity: CloudSimFidelity) -> lens::fleet::FleetScenarioBuilder {
     FleetScenario::builder()
         .population(6000)
         .horizon(Millis::new(1_200_000.0)) // 20 minutes
         .trace_interval(Millis::new(60_000.0))
-        .serving(serving)
+        .serving(batched_serving())
         .policy(FleetPolicy::Dynamic)
         .metric(Metric::Energy)
         .seed(23)
@@ -176,11 +179,10 @@ fn poisson_report_is_bit_identical_across_shards_and_replay_modes() {
     }
 }
 
-/// A diurnal-ish congested scenario exercising every PR 5 feature at
-/// once: priced, autoscaled backends (utilization + queue-depth signals),
+/// Priced, autoscaled backends (utilization + queue-depth signals),
 /// cost-aware dispatch, deadline admission, and sibling failover.
-fn autoscaled_scenario(shards: usize, fidelity: CloudSimFidelity) -> FleetScenario {
-    let serving = CloudServing::new(vec![
+fn autoscaled_serving() -> CloudServing {
+    CloudServing::new(vec![
         BackendConfig::new("gpu", 2, 2000.0, 10.0)
             .with_batching(32, 500.0)
             .with_price(4.0)
@@ -203,12 +205,17 @@ fn autoscaled_scenario(shards: usize, fidelity: CloudSimFidelity) -> FleetScenar
     .with_admission(AdmissionPolicy::Deadline {
         max_wait_ms: 10_000.0,
     })
-    .with_failover(FailoverPolicy::SiblingRegion { penalty_ms: 80.0 });
+    .with_failover(FailoverPolicy::SiblingRegion { penalty_ms: 80.0 })
+}
+
+/// A diurnal-ish congested scenario exercising every PR 5 feature at
+/// once on the [`autoscaled_serving`] tier.
+fn autoscaled_scenario(shards: usize, fidelity: CloudSimFidelity) -> FleetScenario {
     FleetScenario::builder()
         .population(6000)
         .horizon(Millis::new(1_200_000.0)) // 20 minutes
         .trace_interval(Millis::new(60_000.0))
-        .serving(serving)
+        .serving(autoscaled_serving())
         .policy(FleetPolicy::Dynamic)
         .metric(Metric::Energy)
         .seed(23)
@@ -502,5 +509,215 @@ fn per_region_breakdown_reflects_the_mix() {
         "fast region should offload more: {} vs {}",
         offload_share("S. Korea"),
         offload_share("Afghanistan")
+    );
+}
+
+/// A mechanism a golden scenario exists to cover; the pin asserts it
+/// fired, so a digest can never be pinned on a run that skipped it.
+#[derive(Debug, Clone, Copy)]
+enum Mechanism {
+    Failover,
+    Scaling,
+    Retreat,
+    Stages,
+}
+
+impl Mechanism {
+    fn fired(self, report: &FleetReport) -> bool {
+        match self {
+            Mechanism::Failover => report.failed_over() > 0,
+            Mechanism::Scaling => report.scaling_events() > 0,
+            Mechanism::Retreat => report.retreated() > 0,
+            Mechanism::Stages => {
+                report.stage_completions().len() == 3
+                    && report.stage_completions().iter().all(|&n| n > 0)
+            }
+        }
+    }
+}
+
+/// The golden scenarios: 1,500 devices firing every 20 s on 2 shards,
+/// over a 630 s horizon of 60 s epochs, so the last epoch is partial.
+fn golden_scenarios() -> Vec<(&'static str, FleetScenario, Vec<Mechanism>)> {
+    use CloudSimFidelity::{Fluid, PerRequest};
+    let base = |fidelity: CloudSimFidelity, serving: CloudServing| {
+        FleetScenario::builder()
+            .population(1500)
+            .horizon(Millis::new(630_000.0))
+            .trace_interval(Millis::new(60_000.0))
+            .arrival(ArrivalModel::Periodic {
+                period: Millis::new(20_000.0),
+            })
+            .serving(serving)
+            .policy(FleetPolicy::Dynamic)
+            .metric(Metric::Energy)
+            .seed(29)
+            .shards(2)
+            .fidelity(fidelity)
+    };
+    let three_stage = || PipelineSpec::new(vec![150_528, 86_528]);
+    let closed_loop_tier = CloudServing::new(vec![BackendConfig::new("gpu", 1, 500.0, 10.0)
+        .with_batching(8, 250.0)
+        .with_autoscaler(
+            Autoscaler::new(
+                ScalingSignal::TailLatency { target_us: 500_000 },
+                1.0,
+                0.25,
+                1,
+                6,
+            )
+            .with_alpha(0.6)
+            .with_cooldown(1),
+        )])
+    .with_admission(AdmissionPolicy::Deadline {
+        max_wait_ms: 2_000.0,
+    })
+    .with_failover(FailoverPolicy::SiblingRegion { penalty_ms: 60.0 });
+    let single = CloudServing::new(vec![BackendConfig::new("default", 2, 250.0, 0.0)]);
+    use Mechanism::{Failover, Retreat, Scaling, Stages};
+    let build = |builder: lens::fleet::FleetScenarioBuilder| builder.build().expect("valid");
+    vec![
+        ("fluid_single", build(base(Fluid, single)), vec![]),
+        (
+            "fluid_batched",
+            build(base(Fluid, batched_serving())),
+            vec![Failover],
+        ),
+        (
+            "fluid_autoscaled",
+            build(base(Fluid, autoscaled_serving())),
+            vec![Scaling],
+        ),
+        (
+            "fluid_pipeline",
+            build(base(Fluid, batched_serving()).pipeline(three_stage())),
+            vec![Stages],
+        ),
+        (
+            "per_request_batched",
+            build(base(PerRequest, batched_serving())),
+            vec![Failover],
+        ),
+        (
+            "per_request_pipeline",
+            build(base(PerRequest, batched_serving()).pipeline(three_stage())),
+            vec![Stages],
+        ),
+        (
+            "per_request_poisson_autoscaled",
+            build(
+                base(PerRequest, autoscaled_serving()).arrival(ArrivalModel::Poisson {
+                    mean_interarrival: Millis::new(20_000.0),
+                }),
+            ),
+            vec![Scaling],
+        ),
+        (
+            "per_request_closed_loop",
+            build(
+                base(PerRequest, closed_loop_tier)
+                    .metric(Metric::Latency)
+                    .workload(WorkloadCurve::flash_crowd(
+                        Millis::new(180_000.0),
+                        Millis::new(240_000.0),
+                    ))
+                    .tail_deadline(Millis::new(2_000.0))
+                    .pipeline(three_stage()),
+            ),
+            vec![Failover, Scaling, Retreat, Stages],
+        ),
+    ]
+}
+
+/// `(scenario, report digest, trace digest, metrics digest)`, recorded on
+/// x86_64 Linux.
+const GOLDEN_DIGESTS: [(&str, u64, u64, u64); 8] = [
+    (
+        "fluid_single",
+        0x9fc11534b3dfba3b,
+        0xdd1a617ddacd9774,
+        0xc7b16e32ed8a124f,
+    ),
+    (
+        "fluid_batched",
+        0x3f1285396e1421c1,
+        0x9b38b6bdfd67f535,
+        0x871494fe84f1e439,
+    ),
+    (
+        "fluid_autoscaled",
+        0x10e53b82c8f2168c,
+        0x9a469f38917c16ae,
+        0x8ead91f0ff9fe7ae,
+    ),
+    (
+        "fluid_pipeline",
+        0x237e5367cbe92324,
+        0xa1158e827f0dd673,
+        0x903c21162d702460,
+    ),
+    (
+        "per_request_batched",
+        0x28cb3c1b90de0b1b,
+        0xd32ee5166e053d4e,
+        0x1b0a739f9d030a20,
+    ),
+    (
+        "per_request_pipeline",
+        0x7728795315499373,
+        0xa0571289086a84f1,
+        0x02656cc41e14d5e7,
+    ),
+    (
+        "per_request_poisson_autoscaled",
+        0xa5c6a5a6b9c21835,
+        0xbb13fcb8081feb97,
+        0xe1892cfe890b8397,
+    ),
+    (
+        "per_request_closed_loop",
+        0x438797742d7497e8,
+        0x27aa5531324ff39c,
+        0xceaef8d0fd4bf3cc,
+    ),
+];
+
+/// Absolute digest pins. Every other pin in the suite is relational
+/// (shard counts, replay modes, traced vs. untraced), so a change that
+/// moved every digest the same way would pass them all; these values
+/// catch it. Gated to the platform they were recorded on. A deliberate
+/// change re-pins in one step: the failure prints every actual value in
+/// the table's own syntax.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn golden_digests_are_unchanged() {
+    let mut actual = Vec::new();
+    for (name, scenario, mechanisms) in golden_scenarios() {
+        let (report, telemetry) = FleetEngine::new(scenario)
+            .expect("engine builds")
+            .run_traced()
+            .expect("run succeeds");
+        for mechanism in mechanisms {
+            assert!(
+                mechanism.fired(&report),
+                "{name}: {mechanism:?} never fired"
+            );
+        }
+        actual.push((
+            name,
+            report.digest(),
+            telemetry.trace_digest(),
+            telemetry.metrics_digest(),
+        ));
+    }
+    let table: String = actual
+        .iter()
+        .map(|(name, report, trace, metrics)| {
+            format!("    (\"{name}\", {report:#018x}, {trace:#018x}, {metrics:#018x}),\n")
+        })
+        .collect();
+    assert!(
+        actual == GOLDEN_DIGESTS,
+        "golden digests moved; the actual values are:\n{table}"
     );
 }
