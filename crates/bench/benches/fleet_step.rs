@@ -6,6 +6,7 @@
 //! synthesis dominates it).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lens::fleet::PhaseProbe;
 use lens::prelude::*;
 use lens_bench::workloads;
 use std::hint::black_box;
@@ -85,8 +86,8 @@ fn bench_fleet(c: &mut Criterion) {
             let mut region = RegionServing::new(&serving);
             for _ in 0..60 {
                 region.admit(500, 4_500);
-                region.drain(60_000.0);
-                region.scale(60_000.0);
+                region.drain(60_000.0, 0, 0, &mut PhaseProbe::disabled());
+                region.scale(60_000.0, 0, 0, &mut PhaseProbe::disabled());
                 black_box(region.publish());
             }
             black_box(region.depth())

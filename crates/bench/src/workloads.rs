@@ -18,7 +18,7 @@ pub fn fleet_scenario(population: usize, shards: usize) -> FleetScenario {
     FleetScenario::builder()
         .population(population)
         .horizon(Millis::new(600_000.0)) // 10 minutes, 60 s epochs
-        .cloud(CloudCapacity::new(16, 10.0))
+        .serving(CloudServing::single(16, 10.0))
         .policy(FleetPolicy::Dynamic)
         .metric(Metric::Energy)
         .seed(11)

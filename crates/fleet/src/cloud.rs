@@ -43,9 +43,11 @@
 //! **drain (serve the epoch) → scale (autoscalers adjust slots) → publish
 //! (waits/shed/cost signals from post-scale state)** — so the signals
 //! devices read next epoch always reflect post-scale capacity.
-//! [`CloudCapacity`] — the PR 2 configuration surface — is kept as the
-//! degenerate single-backend, unbatched case and converts losslessly via
-//! [`CloudServing::from`].
+//! [`CloudServing::single`] builds the degenerate case: one unbatched
+//! backend, a single fluid queue per region.
+//!
+//! Each tier operation is one method that takes a [`PhaseProbe`]; callers
+//! that trace nothing pass [`PhaseProbe::disabled`].
 
 use crate::report::Histogram;
 use lens_telemetry::{PhaseProbe, TraceEvent};
@@ -91,57 +93,18 @@ pub enum QueueDiscipline {
     },
 }
 
-/// Capacity description for the PR 2 single-queue cloud, applied per
-/// region. Retained as the simple configuration surface: it converts into
-/// a one-backend, unbatched [`CloudServing`] with identical drain
-/// behavior.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CloudCapacity {
-    /// Concurrent inference slots per region.
-    pub slots_per_region: usize,
-    /// Cloud-side service time per offloaded inference (ms).
-    pub service_ms: f64,
-    /// Queue discipline.
-    pub discipline: QueueDiscipline,
-}
-
-impl CloudCapacity {
-    /// FIFO capacity with the given slots and per-inference service time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots_per_region` is zero or `service_ms` is not
-    /// positive/finite.
-    pub fn new(slots_per_region: usize, service_ms: f64) -> Self {
-        assert!(slots_per_region > 0, "cloud needs at least one slot");
-        assert!(
-            service_ms.is_finite() && service_ms > 0.0,
-            "service_ms must be positive and finite"
-        );
-        CloudCapacity {
-            slots_per_region,
-            service_ms,
-            discipline: QueueDiscipline::Fifo,
+impl QueueDiscipline {
+    /// Checks the discipline's own invariant: `high_fraction` lies in
+    /// `[0, 1]` (NaN does not).
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        match *self {
+            QueueDiscipline::Priority { high_fraction }
+                if !(0.0..=1.0).contains(&high_fraction) =>
+            {
+                Err("high_fraction must be in [0, 1]".to_string())
+            }
+            _ => Ok(()),
         }
-    }
-
-    /// Switches to the two-class priority discipline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `high_fraction` is outside `[0, 1]`.
-    pub fn with_priority(mut self, high_fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&high_fraction),
-            "high_fraction must be in [0, 1]"
-        );
-        self.discipline = QueueDiscipline::Priority { high_fraction };
-        self
-    }
-
-    /// Jobs one region can complete per millisecond.
-    pub fn drain_rate_per_ms(&self) -> f64 {
-        self.slots_per_region as f64 / self.service_ms
     }
 }
 
@@ -172,15 +135,24 @@ impl BatchPolicy {
     /// Panics if `max_batch` is zero or `linger_ms` is negative or
     /// non-finite.
     pub fn new(max_batch: usize, linger_ms: f64) -> Self {
-        assert!(max_batch > 0, "max_batch must be at least 1");
-        assert!(
-            linger_ms.is_finite() && linger_ms >= 0.0,
-            "linger_ms must be non-negative and finite"
-        );
-        BatchPolicy {
+        let policy = BatchPolicy {
             max_batch,
             linger_ms,
+        };
+        policy.validate().unwrap_or_else(|why| panic!("{why}"));
+        policy
+    }
+
+    /// Checks the batcher's fields — the one place [`BatchPolicy::new`]
+    /// and [`CloudServing::validate`] both check them.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.max_batch == 0 {
+            return Err("max_batch must be at least 1".to_string());
         }
+        if !(self.linger_ms.is_finite() && self.linger_ms >= 0.0) {
+            return Err("linger_ms must be non-negative and finite".to_string());
+        }
+        Ok(())
     }
 }
 
@@ -425,20 +397,7 @@ impl BackendConfig {
     /// or the single-item service time `base_service_ms + per_item_ms` is
     /// not positive.
     pub fn new(name: &str, slots: usize, base_service_ms: f64, per_item_ms: f64) -> Self {
-        assert!(slots > 0, "backend needs at least one slot");
-        assert!(
-            base_service_ms.is_finite() && base_service_ms >= 0.0,
-            "base_service_ms must be non-negative and finite"
-        );
-        assert!(
-            per_item_ms.is_finite() && per_item_ms >= 0.0,
-            "per_item_ms must be non-negative and finite"
-        );
-        assert!(
-            base_service_ms + per_item_ms > 0.0,
-            "single-item service time must be positive"
-        );
-        BackendConfig {
+        let config = BackendConfig {
             name: name.to_string(),
             slots,
             base_service_ms,
@@ -447,7 +406,45 @@ impl BackendConfig {
             price_per_slot_epoch: 0.0,
             energy_per_job_mj: 0.0,
             autoscaler: None,
+        };
+        config.validate().unwrap_or_else(|why| panic!("{why}"));
+        config
+    }
+
+    /// Checks every field of the pool — slots and costs, the batcher, the
+    /// price and energy, and the autoscaler with its bounds — the one
+    /// place [`BackendConfig::new`] and [`CloudServing::validate`] both
+    /// check them.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.slots == 0 {
+            return Err("backend needs at least one slot".to_string());
         }
+        if !(self.base_service_ms.is_finite() && self.base_service_ms >= 0.0) {
+            return Err("base_service_ms must be non-negative and finite".to_string());
+        }
+        if !(self.per_item_ms.is_finite() && self.per_item_ms >= 0.0) {
+            return Err("per_item_ms must be non-negative and finite".to_string());
+        }
+        if self.base_service_ms + self.per_item_ms <= 0.0 {
+            return Err("single-item service time must be positive".to_string());
+        }
+        self.batching.validate()?;
+        if !(self.price_per_slot_epoch.is_finite() && self.price_per_slot_epoch >= 0.0) {
+            return Err("price_per_slot_epoch must be non-negative and finite".to_string());
+        }
+        if !(self.energy_per_job_mj.is_finite() && self.energy_per_job_mj >= 0.0) {
+            return Err("energy_per_job_mj must be non-negative and finite".to_string());
+        }
+        if let Some(auto) = &self.autoscaler {
+            auto.validate()?;
+            if !(auto.min_slots..=auto.max_slots).contains(&self.slots) {
+                return Err(format!(
+                    "initial slots {} outside autoscaler bounds [{}, {}]",
+                    self.slots, auto.min_slots, auto.max_slots
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Puts a dynamic batcher in front of the pool.
@@ -608,17 +605,28 @@ impl CloudServing {
         }
     }
 
+    /// The simplest tier: one unbatched backend named `"default"` with
+    /// `slots` executors at `service_ms` per request, so each region
+    /// drains `slots / service_ms` jobs per ms.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`BackendConfig::new`] does: `slots` is zero or
+    /// `service_ms` is not positive and finite.
+    pub fn single(slots: usize, service_ms: f64) -> Self {
+        CloudServing::new(vec![BackendConfig::new("default", slots, service_ms, 0.0)])
+    }
+
     /// Switches to the two-class priority discipline.
     ///
     /// # Panics
     ///
     /// Panics if `high_fraction` is outside `[0, 1]`.
     pub fn with_priority(mut self, high_fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&high_fraction),
-            "high_fraction must be in [0, 1]"
-        );
         self.discipline = QueueDiscipline::Priority { high_fraction };
+        self.discipline
+            .validate()
+            .unwrap_or_else(|why| panic!("{why}"));
         self
     }
 
@@ -640,14 +648,19 @@ impl CloudServing {
         self
     }
 
-    /// Validates the cross-field constraints a scenario build enforces.
+    /// Validates every field of the tier — the ones its constructors
+    /// check too, since the fields are public — and the cross-field
+    /// constraints a scenario build enforces.
     ///
     /// # Errors
     ///
     /// Returns a human-readable reason when the tier has no backends,
-    /// duplicate backend names, a non-positive admission bound or failover
-    /// penalty, a non-finite/negative price or energy, or an invalid
-    /// autoscaler (bad thresholds/bounds, or initial slots outside them).
+    /// duplicate backend names, a backend with zero slots, a negative or
+    /// non-finite cost, price or energy, a non-positive single-item
+    /// service time, an invalid batcher or autoscaler (bad thresholds or
+    /// bounds, or initial slots outside them), an out-of-range priority
+    /// fraction, a partially priced cost-aware tier, or a non-positive
+    /// admission bound or failover penalty.
     pub fn validate(&self) -> Result<(), String> {
         if self.backends.is_empty() {
             return Err("serving tier needs at least one backend".to_string());
@@ -659,29 +672,10 @@ impl CloudServing {
                     b.name
                 ));
             }
-            if !(b.price_per_slot_epoch.is_finite() && b.price_per_slot_epoch >= 0.0) {
-                return Err(format!(
-                    "backend {:?} price_per_slot_epoch must be non-negative and finite",
-                    b.name
-                ));
-            }
-            if !(b.energy_per_job_mj.is_finite() && b.energy_per_job_mj >= 0.0) {
-                return Err(format!(
-                    "backend {:?} energy_per_job_mj must be non-negative and finite",
-                    b.name
-                ));
-            }
-            if let Some(auto) = &b.autoscaler {
-                auto.validate()
-                    .map_err(|why| format!("backend {:?}: {why}", b.name))?;
-                if !(auto.min_slots..=auto.max_slots).contains(&b.slots) {
-                    return Err(format!(
-                        "backend {:?} initial slots {} outside autoscaler bounds [{}, {}]",
-                        b.name, b.slots, auto.min_slots, auto.max_slots
-                    ));
-                }
-            }
+            b.validate()
+                .map_err(|why| format!("backend {:?}: {why}", b.name))?;
         }
+        self.discipline.validate()?;
         // Cost-aware dispatch compares cost weights across backends, and
         // an unset (zero) component silently counts as the neutral 1 —
         // real prices must not be ranked against that placeholder, so a
@@ -723,26 +717,6 @@ impl CloudServing {
             }
         }
         Ok(())
-    }
-}
-
-impl From<CloudCapacity> for CloudServing {
-    /// The PR 2 single-queue cloud as a degenerate serving tier: one
-    /// unbatched backend whose drain rate is exactly
-    /// `slots_per_region / service_ms`.
-    fn from(capacity: CloudCapacity) -> Self {
-        CloudServing {
-            backends: vec![BackendConfig::new(
-                "default",
-                capacity.slots_per_region,
-                capacity.service_ms,
-                0.0,
-            )],
-            discipline: capacity.discipline,
-            admission: AdmissionPolicy::Open,
-            failover: FailoverPolicy::ToDevice,
-            dispatch: DispatchPolicy::LeastWorkLeft,
-        }
     }
 }
 
@@ -1023,22 +997,11 @@ impl RegionServing {
     /// batcher closes batches of the fluid size its backlog and arrival
     /// rate imply (`min(max_batch, max(1, depth/slots, rate·linger))`),
     /// serving high-priority work first, and records batch-close and
-    /// utilization stats.
-    pub fn drain(&mut self, epoch_ms: f64) {
-        self.drain_probed(epoch_ms, 0, 0, &mut PhaseProbe::disabled());
-    }
-
-    /// [`drain`](RegionServing::drain) with telemetry: batch closes are
-    /// counted into `probe` and emitted as [`TraceEvent::BatchClose`]
-    /// aggregates stamped at `now_us` (the epoch end — the fluid model
-    /// has no per-batch close instants).
-    pub fn drain_probed(
-        &mut self,
-        epoch_ms: f64,
-        now_us: u64,
-        region: u64,
-        probe: &mut PhaseProbe,
-    ) {
+    /// utilization stats. Batch closes are counted into `probe` and
+    /// emitted as [`TraceEvent::BatchClose`] aggregates for `region`,
+    /// stamped at `now_us` (the epoch end — the fluid model has no
+    /// per-batch close instants).
+    pub fn drain(&mut self, epoch_ms: f64, now_us: u64, region: u64, probe: &mut PhaseProbe) {
         for (backend_idx, (config, queue)) in self
             .serving
             .backends
@@ -1120,20 +1083,10 @@ impl RegionServing {
     /// the epoch just served, EWMA-damps each backend's demand signal,
     /// and steps the live slot count within the configured bounds
     /// (honoring the cooldown). The realized drain rate is rescaled with
-    /// the slot count so post-scale waits price the new capacity.
-    pub fn scale(&mut self, epoch_ms: f64) {
-        self.scale_probed(epoch_ms, 0, 0, &mut PhaseProbe::disabled());
-    }
-
-    /// [`scale`](RegionServing::scale) with telemetry: every applied
-    /// autoscaler step is emitted as a [`TraceEvent::ScalingStep`].
-    pub fn scale_probed(
-        &mut self,
-        epoch_ms: f64,
-        now_us: u64,
-        region: u64,
-        probe: &mut PhaseProbe,
-    ) {
+    /// the slot count so post-scale waits price the new capacity. Every
+    /// applied step is emitted into `probe` as a
+    /// [`TraceEvent::ScalingStep`] stamped at `now_us`.
+    pub fn scale(&mut self, epoch_ms: f64, now_us: u64, region: u64, probe: &mut PhaseProbe) {
         for (backend_idx, (config, queue)) in self
             .serving
             .backends
@@ -1601,21 +1554,11 @@ impl RegionMicrosim {
     /// epoch.
     ///
     /// `requests` must be sorted by `(arrival_us, device_id)` with every
-    /// arrival inside the epoch (debug-asserted).
+    /// arrival inside the epoch (debug-asserted). Timer pops, heap
+    /// pushes, and discrete batch closes are counted into `probe`, and
+    /// every batch close is emitted as a [`TraceEvent::BatchClose`] for
+    /// `region` at its exact close instant.
     pub fn run_epoch(
-        &mut self,
-        requests: &[OffloadRequest],
-        epoch_end_us: u64,
-        out: &mut Vec<CompletedRequest>,
-    ) {
-        self.run_epoch_probed(requests, epoch_end_us, out, 0, &mut PhaseProbe::disabled());
-    }
-
-    /// [`run_epoch`](RegionMicrosim::run_epoch) with telemetry: timer
-    /// pops, heap pushes, and discrete batch closes are counted into
-    /// `probe`, and every batch close is emitted as a
-    /// [`TraceEvent::BatchClose`] at its exact close instant.
-    pub fn run_epoch_probed(
         &mut self,
         requests: &[OffloadRequest],
         epoch_end_us: u64,
@@ -1669,19 +1612,10 @@ impl RegionMicrosim {
 
     /// Drains everything still queued or in flight — the cloud keeps
     /// serving past the horizon so every admitted request completes and
-    /// the tail histograms account for the whole population.
-    pub fn flush(&mut self, out: &mut Vec<CompletedRequest>) {
-        self.flush_probed(out, 0, &mut PhaseProbe::disabled());
-    }
-
-    /// [`flush`](RegionMicrosim::flush) with telemetry (the post-horizon
-    /// drain still closes batches worth recording).
-    pub fn flush_probed(
-        &mut self,
-        out: &mut Vec<CompletedRequest>,
-        region: u64,
-        probe: &mut PhaseProbe,
-    ) {
+    /// the tail histograms account for the whole population. The
+    /// post-horizon drain still closes batches, so it records into
+    /// `probe` like [`run_epoch`](RegionMicrosim::run_epoch).
+    pub fn flush(&mut self, out: &mut Vec<CompletedRequest>, region: u64, probe: &mut PhaseProbe) {
         self.run_timers(u64::MAX, true, out, region, probe);
         // Fold the post-horizon completions into the cumulative
         // histograms — the final barrier never runs after a flush.
@@ -1899,22 +1833,11 @@ impl RegionMicrosim {
     /// slots free at `now_us` and arms a slot-free event so queued work
     /// can board them next epoch; scale-down retires **idle** slots only
     /// (an in-flight batch is never killed) and retries at later barriers
-    /// if not enough executors are idle.
-    pub fn scale(&mut self, now_us: u64, epoch_us: u64) {
-        self.scale_probed(now_us, epoch_us, 0, &mut PhaseProbe::disabled());
-    }
-
-    /// [`scale`](RegionMicrosim::scale) with telemetry: every *realized*
-    /// slot-count change is emitted as a [`TraceEvent::ScalingStep`]
+    /// if not enough executors are idle. Every *realized* slot-count
+    /// change is emitted into `probe` as a [`TraceEvent::ScalingStep`]
     /// (scale-down reports the achieved count when too few executors
     /// were idle to retire the full step).
-    pub fn scale_probed(
-        &mut self,
-        now_us: u64,
-        epoch_us: u64,
-        region: u64,
-        probe: &mut PhaseProbe,
-    ) {
+    pub fn scale(&mut self, now_us: u64, epoch_us: u64, region: u64, probe: &mut PhaseProbe) {
         let heap = &mut self.heap;
         for (i, (config, backend)) in self
             .serving
@@ -2095,12 +2018,8 @@ impl fmt::Display for RegionMicrosim {
 mod tests {
     use super::*;
 
-    fn capacity() -> CloudCapacity {
-        CloudCapacity::new(10, 10.0) // 1 job/ms drain rate
-    }
-
     fn single_queue() -> RegionServing {
-        RegionServing::new(&CloudServing::from(capacity()))
+        RegionServing::new(&CloudServing::single(10, 10.0)) // 1 job/ms drain rate
     }
 
     #[test]
@@ -2115,12 +2034,12 @@ mod tests {
         let mut q = single_queue();
         // 1 job/ms drain; admit 2000 jobs per 1000 ms epoch -> +1000 backlog.
         q.admit(0, 2000);
-        q.drain(1000.0);
+        q.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
         assert!((q.depth() - 1000.0).abs() < 1e-9);
         assert!((q.wait_ms(false) - 1000.0).abs() < 1e-9);
         // Underload drains it back down.
         q.admit(0, 0);
-        q.drain(1000.0);
+        q.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
         assert_eq!(q.depth(), 0.0);
     }
 
@@ -2129,7 +2048,7 @@ mod tests {
         let mut q = single_queue();
         for _ in 0..10 {
             q.admit(0, 500); // half the epoch's drain budget
-            q.drain(1000.0);
+            q.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
             assert_eq!(q.depth(), 0.0);
         }
     }
@@ -2142,7 +2061,7 @@ mod tests {
         assert!((q.wait_ms(true) - 300.0).abs() < 1e-9);
         assert!((q.wait_ms(false) - 3300.0).abs() < 1e-9);
         // Draining serves the high class first.
-        q.drain(300.0);
+        q.drain(300.0, 0, 0, &mut PhaseProbe::disabled());
         assert!(q.wait_ms(true) < 1e-9);
         assert!((q.wait_ms(false) - 3000.0).abs() < 1e-9);
     }
@@ -2151,7 +2070,7 @@ mod tests {
     fn drain_is_work_conserving_across_classes() {
         let mut q = single_queue();
         q.admit(100, 100);
-        q.drain(150.0); // budget 150: 100 high + 50 low
+        q.drain(150.0, 0, 0, &mut PhaseProbe::disabled()); // budget 150: 100 high + 50 low
         assert!(q.wait_ms(true) < 1e-9);
         assert!((q.depth() - 50.0).abs() < 1e-9);
     }
@@ -2159,30 +2078,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one slot")]
     fn zero_slots_rejected() {
-        CloudCapacity::new(0, 5.0);
+        CloudServing::single(0, 5.0);
     }
 
     #[test]
     #[should_panic(expected = "high_fraction")]
     fn bad_priority_fraction_rejected() {
-        CloudCapacity::new(1, 5.0).with_priority(1.5);
+        CloudServing::single(1, 5.0).with_priority(1.5);
     }
 
     #[test]
-    fn capacity_converts_to_equivalent_backend() {
-        let serving = CloudServing::from(capacity().with_priority(0.25));
+    fn single_is_one_unbatched_default_backend() {
+        let serving = CloudServing::single(10, 10.0).with_priority(0.25);
         assert_eq!(serving.backends.len(), 1);
         let b = &serving.backends[0];
+        assert_eq!(b.name, "default");
         assert_eq!(b.slots, 10);
         assert_eq!(b.batching.max_batch, 1);
-        // Peak rate equals the old drain rate bit-for-bit.
-        assert_eq!(b.full_batch_rate_per_ms(), capacity().drain_rate_per_ms());
+        // Drains `slots / service_ms` jobs per ms.
+        assert_eq!(b.full_batch_rate_per_ms(), 1.0);
         assert_eq!(
             serving.discipline,
             QueueDiscipline::Priority {
                 high_fraction: 0.25
             }
         );
+        assert!(serving.validate().is_ok());
     }
 
     #[test]
@@ -2201,8 +2122,8 @@ mod tests {
         plain.admit(0, 10_000);
         tier.admit(0, 10_000);
         for _ in 0..2 {
-            plain.drain(10_000.0);
-            tier.drain(10_000.0);
+            plain.drain(10_000.0, 0, 0, &mut PhaseProbe::disabled());
+            tier.drain(10_000.0, 0, 0, &mut PhaseProbe::disabled());
         }
         assert_eq!(tier.depth(), 0.0, "batched tier should have cleared");
         assert!(
@@ -2219,7 +2140,7 @@ mod tests {
         let config = BackendConfig::new("gpu", 1, 10.0, 1.0).with_batching(64, 40.0);
         let mut tier = RegionServing::new(&CloudServing::new(vec![config]));
         tier.admit(0, 200);
-        tier.drain(1000.0);
+        tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
         assert_eq!(tier.depth(), 0.0, "batch 8 keeps up with 0.2 jobs/ms");
         let stats = tier.backend_stats().remove(0);
         assert_eq!(stats.served_jobs, 200.0);
@@ -2258,8 +2179,8 @@ mod tests {
         let b = BackendConfig::new("b", 1, 10.0, 0.0);
         let mut tier = RegionServing::new(&CloudServing::new(vec![a, b]));
         tier.admit(0, 100);
-        tier.drain(0.0); // no drain budget; just close the epoch
-                         // Backend queues now hold 50/50. Push one backend ahead by hand.
+        tier.drain(0.0, 0, 0, &mut PhaseProbe::disabled()); // no drain budget; just close the epoch
+                                                            // Backend queues now hold 50/50. Push one backend ahead by hand.
         tier.queues[0].backlog_low += 30.0;
         // The next 30 jobs must all go to the emptier backend.
         tier.admit(0, 30);
@@ -2289,11 +2210,11 @@ mod tests {
             .with_admission(AdmissionPolicy::Deadline { max_wait_ms: 100.0 });
         let mut tier = RegionServing::new(&serving);
         tier.admit(50, 2000);
-        tier.drain(1000.0);
+        tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
         // The admission controller acts at publish time (after scaling),
         // not inside drain — the barrier order is drain → scale → publish.
         assert_eq!(tier.signal().shed_fraction, 0.0);
-        tier.scale(1000.0);
+        tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
         let signal = tier.publish();
         assert!(signal.wait_low_ms > 100.0);
         assert!(signal.shed_fraction > 0.0 && signal.shed_fraction < 1.0);
@@ -2346,8 +2267,8 @@ mod tests {
     fn run_all(sim: &mut RegionMicrosim, requests: &[OffloadRequest]) -> Vec<CompletedRequest> {
         let mut out = Vec::new();
         let end = requests.last().map_or(1, |r| r.arrival_us + 1);
-        sim.run_epoch(requests, end, &mut out);
-        sim.flush(&mut out);
+        sim.run_epoch(requests, end, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
         out
     }
 
@@ -2517,13 +2438,13 @@ mod tests {
         let mut sim = RegionMicrosim::new(&serving);
         let requests: Vec<_> = (0..50).map(|i| request(i, i)).collect();
         let mut out = Vec::new();
-        sim.run_epoch(&requests, 1_000, &mut out);
+        sim.run_epoch(&requests, 1_000, &mut out, 0, &mut PhaseProbe::disabled());
         assert!(sim.depth() > 4.0, "backlog should persist at the barrier");
         let signal = sim.barrier_signal(1_000);
         assert!(signal.shed_fraction > 0.0);
         assert!(signal.wait_low_ms > 0.0);
         assert!(signal.wait_high_ms <= signal.wait_low_ms);
-        sim.flush(&mut out);
+        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 50, "flush must complete every request");
         assert_eq!(sim.depth(), 0.0);
         assert!(format!("{sim}").contains("0 requests queued"));
@@ -2635,8 +2556,8 @@ mod tests {
         // slot blows past the threshold every barrier until max.
         for _ in 0..4 {
             tier.admit(0, 5000);
-            tier.drain(1000.0);
-            tier.scale(1000.0);
+            tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+            tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
             tier.publish();
         }
         let stats = &tier.backend_stats()[0];
@@ -2645,8 +2566,8 @@ mod tests {
         // Idle: the backlog drains, then the pool walks back to min.
         for _ in 0..20 {
             tier.admit(0, 0);
-            tier.drain(1000.0);
-            tier.scale(1000.0);
+            tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+            tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
             tier.publish();
         }
         let stats = &tier.backend_stats()[0];
@@ -2658,12 +2579,12 @@ mod tests {
         let mut tier = RegionServing::new(&autoscaled_backend(depth_scaler(3).with_step(10)));
         // A giant step still lands exactly on max_slots…
         tier.admit(0, 100_000);
-        tier.drain(1000.0);
-        tier.scale(1000.0);
+        tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+        tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
         assert_eq!(tier.backend_stats()[0].slot_timeline, vec![1]);
         tier.admit(0, 0);
-        tier.drain(1000.0);
-        tier.scale(1000.0);
+        tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+        tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
         let stats = &tier.backend_stats()[0];
         assert_eq!(stats.slot_timeline, vec![1, 3], "step clamps to max");
         // …and a giant scale-down lands exactly on min_slots.
@@ -2676,16 +2597,16 @@ mod tests {
         serving.backends[0].slots = 50;
         let mut idle = RegionServing::new(&serving);
         idle.admit(0, 0);
-        idle.drain(1000.0);
-        idle.scale(1000.0);
+        idle.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+        idle.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
         idle.admit(0, 0);
-        idle.drain(1000.0);
-        idle.scale(1000.0);
+        idle.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+        idle.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
         let stats = &idle.backend_stats()[0];
         assert_eq!(stats.slot_timeline, vec![50, 10]);
         idle.admit(0, 0);
-        idle.drain(1000.0);
-        idle.scale(1000.0);
+        idle.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+        idle.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
         assert_eq!(*idle.backend_stats()[0].slot_timeline.last().unwrap(), 2);
     }
 
@@ -2701,8 +2622,8 @@ mod tests {
             let mut tier = RegionServing::new(&autoscaled_backend(auto));
             for epoch in 0..16 {
                 tier.admit(0, if epoch % 2 == 0 { 5000 } else { 0 });
-                tier.drain(1000.0);
-                tier.scale(1000.0);
+                tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+                tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
                 tier.publish();
             }
             tier.backend_stats()[0].scale_events
@@ -2723,8 +2644,8 @@ mod tests {
     fn fluid_publishes_no_tail_signal() {
         let mut tier = RegionServing::new(&autoscaled_backend(depth_scaler(2)));
         tier.admit(0, 500);
-        tier.drain(1000.0);
-        tier.scale(1000.0);
+        tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+        tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
         let signal = tier.publish();
         assert_eq!(signal.p99_ms, None, "fluid mode must publish no tail");
     }
@@ -2740,7 +2661,7 @@ mod tests {
         let mut sim = RegionMicrosim::new(&serving);
         let mut out = Vec::new();
         // Never-measured: an idle first epoch publishes no tail at all.
-        sim.run_epoch(&[], 1_000_000, &mut out);
+        sim.run_epoch(&[], 1_000_000, &mut out, 0, &mut PhaseProbe::disabled());
         let signal = sim.barrier_signal(1_000_000);
         assert_eq!(
             signal.p99_ms, None,
@@ -2749,7 +2670,13 @@ mod tests {
         let requests: Vec<_> = (0..4)
             .map(|i| request(1_000_000 + i * 100_000, i))
             .collect();
-        sim.run_epoch(&requests, 2_000_000, &mut out);
+        sim.run_epoch(
+            &requests,
+            2_000_000,
+            &mut out,
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         let signal = sim.barrier_signal(2_000_000);
         let p99 = signal
             .p99_ms
@@ -2760,7 +2687,7 @@ mod tests {
         );
         // Idle epoch: nothing completed since the last barrier, but the
         // last *measured* tail is held so retreat stays armed.
-        sim.run_epoch(&[], 3_000_000, &mut out);
+        sim.run_epoch(&[], 3_000_000, &mut out, 0, &mut PhaseProbe::disabled());
         let signal = sim.barrier_signal(3_000_000);
         assert_eq!(
             signal.p99_ms,
@@ -2793,8 +2720,8 @@ mod tests {
             let start = epoch * 1_000_000;
             let end = start + 1_000_000;
             let requests: Vec<_> = (0..8).map(|i| request(start + i * 1_000, i)).collect();
-            sim.run_epoch(&requests, end, &mut out);
-            sim.scale(end, 1_000_000);
+            sim.run_epoch(&requests, end, &mut out, 0, &mut PhaseProbe::disabled());
+            sim.scale(end, 1_000_000, 0, &mut PhaseProbe::disabled());
             sim.barrier_signal(end);
         }
         let stats = &sim.backend_stats()[0];
@@ -2806,8 +2733,8 @@ mod tests {
         // Idle epochs observe 0 (no tail to miss) and scale back down.
         for epoch in 3..6u64 {
             let end = (epoch + 1) * 1_000_000;
-            sim.run_epoch(&[], end, &mut out);
-            sim.scale(end, 1_000_000);
+            sim.run_epoch(&[], end, &mut out, 0, &mut PhaseProbe::disabled());
+            sim.scale(end, 1_000_000, 0, &mut PhaseProbe::disabled());
             sim.barrier_signal(end);
         }
         assert_eq!(*sim.backend_stats()[0].slot_timeline.last().unwrap(), 1);
@@ -2830,8 +2757,8 @@ mod tests {
         let mut tier = RegionServing::new(&autoscaled_backend(auto));
         for _ in 0..4 {
             tier.admit(0, 5000);
-            tier.drain(1000.0);
-            tier.scale(1000.0);
+            tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
+            tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
             tier.publish();
         }
         let stats = &tier.backend_stats()[0];
@@ -2851,11 +2778,11 @@ mod tests {
         serving.backends[0].slots = 4;
         let mut tier = RegionServing::new(&serving);
         tier.admit(0, 4400);
-        tier.drain(100.0); // serves 400 (4 slots × 1 job/ms × 100 ms)
+        tier.drain(100.0, 0, 0, &mut PhaseProbe::disabled()); // serves 400 (4 slots × 1 job/ms × 100 ms)
         let depth_before = tier.depth();
         assert!((depth_before - 4000.0).abs() < 1e-9);
         let wait_before_scale = tier.wait_ms(false);
-        tier.scale(100.0); // 4000/4 = 1000 jobs/slot < 500? no: 1000 > 500
+        tier.scale(100.0, 0, 0, &mut PhaseProbe::disabled()); // 4000/4 = 1000 jobs/slot < 500? no: 1000 > 500
         assert_eq!(
             tier.backend_stats()[0].slot_timeline,
             vec![4],
@@ -2864,10 +2791,10 @@ mod tests {
         // Drain the queue below the threshold, then the pool shrinks with
         // work still queued.
         tier.admit(0, 0);
-        tier.drain(800.0); // serves 3200, 800 left -> 200/slot < 500
+        tier.drain(800.0, 0, 0, &mut PhaseProbe::disabled()); // serves 3200, 800 left -> 200/slot < 500
         let remaining = tier.depth();
         assert!((remaining - 800.0).abs() < 1e-9);
-        tier.scale(800.0);
+        tier.scale(800.0, 0, 0, &mut PhaseProbe::disabled());
         let signal = tier.publish();
         let stats = &tier.backend_stats()[0];
         assert_eq!(*stats.slot_timeline.last().unwrap(), 4);
@@ -2894,9 +2821,9 @@ mod tests {
     fn fluid_publish_prices_post_scale_capacity() {
         let mut tier = RegionServing::new(&autoscaled_backend(depth_scaler(2)));
         tier.admit(0, 2000);
-        tier.drain(1000.0); // 1 slot serves 1000; 1000 remain
+        tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled()); // 1 slot serves 1000; 1000 remain
         assert!((tier.wait_ms(false) - 1000.0).abs() < 1e-9);
-        tier.scale(1000.0); // 1000 jobs/slot > 10 → slots double to 2
+        tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled()); // 1000 jobs/slot > 10 → slots double to 2
         let signal = tier.publish();
         assert!(
             (signal.wait_low_ms - 500.0).abs() < 1e-9,
@@ -2919,9 +2846,9 @@ mod tests {
         let mut sim = RegionMicrosim::new(&serving);
         let requests: Vec<_> = (0..10).map(|i| request(i, i)).collect();
         let mut out = Vec::new();
-        sim.run_epoch(&requests, 1_000, &mut out);
+        sim.run_epoch(&requests, 1_000, &mut out, 0, &mut PhaseProbe::disabled());
         let wait_pre_scale = sim.wait_ms(false, 1_000);
-        sim.scale(1_000, 1_000);
+        sim.scale(1_000, 1_000, 0, &mut PhaseProbe::disabled());
         let signal = sim.barrier_signal(1_000);
         assert!(
             signal.wait_low_ms < wait_pre_scale,
@@ -2934,9 +2861,9 @@ mod tests {
         assert_eq!(stats.scale_events, 1);
         // The added slot serves queued work from the next epoch on, and
         // every admitted request still completes.
-        sim.run_epoch(&[], 200_000, &mut out);
-        sim.scale(200_000, 199_000);
-        sim.flush(&mut out);
+        sim.run_epoch(&[], 200_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.scale(200_000, 199_000, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 10, "flush must complete every request");
         assert_eq!(sim.backend_stats()[0].slot_timeline, vec![1, 2]);
     }
@@ -2952,8 +2879,14 @@ mod tests {
         let mut sim = RegionMicrosim::new(&serving);
         let mut out = Vec::new();
         // Two requests occupy both 10 s executors well past the barrier.
-        sim.run_epoch(&[request(0, 0), request(0, 1)], 1_000, &mut out);
-        sim.scale(1_000, 1_000);
+        sim.run_epoch(
+            &[request(0, 0), request(0, 1)],
+            1_000,
+            &mut out,
+            0,
+            &mut PhaseProbe::disabled(),
+        );
+        sim.scale(1_000, 1_000, 0, &mut PhaseProbe::disabled());
         let stats = &sim.backend_stats()[0];
         assert_eq!(
             stats.scale_events, 0,
@@ -2961,15 +2894,15 @@ mod tests {
         );
         assert_eq!(stats.slot_timeline, vec![2]);
         // Once a batch finishes, the deferred scale-down applies.
-        sim.run_epoch(&[], 20_000_000, &mut out);
-        sim.scale(20_000_000, 19_999_000);
+        sim.run_epoch(&[], 20_000_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.scale(20_000_000, 19_999_000, 0, &mut PhaseProbe::disabled());
         let stats = &sim.backend_stats()[0];
         assert_eq!(stats.scale_events, 1);
         assert_eq!(*stats.slot_timeline.last().unwrap(), 2);
-        sim.run_epoch(&[], 20_001_000, &mut out);
-        sim.scale(20_001_000, 1_000);
+        sim.run_epoch(&[], 20_001_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.scale(20_001_000, 1_000, 0, &mut PhaseProbe::disabled());
         assert_eq!(*sim.backend_stats()[0].slot_timeline.last().unwrap(), 1);
-        sim.flush(&mut out);
+        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 2);
     }
 

@@ -22,26 +22,31 @@
 //! is unchanged. Poisson shards keep id order. The arena is the only copy
 //! of the samples: each synthesized trace is written into it and dropped.
 //!
-//! At each barrier the engine runs the serving tier's **batch-close
-//! events** in fluid form: merged offload counts are admitted per region,
-//! dispatched across that region's backends by (cost-weighted)
-//! water-filling, and each backend closes batches of the size its backlog
-//! and arrival rate imply, draining at the batch-amortized rate. The
-//! barrier phases are strictly ordered — **drain → scale → publish** —
-//! in both fidelity modes: autoscalers adjust live slot counts *before*
-//! the next epoch's [`RegionSignal`]s (per-class waits, the admission
+//! Both cloud fidelities run through **one barrier loop**
+//! (`FleetEngine::run_tier`). At each barrier every region's replay
+//! worker serves the epoch's offloads: the fluid tier admits merged
+//! offload counts, dispatches them across the region's backends by
+//! (cost-weighted) water-filling and drains them as batch-amortized
+//! epoch aggregates; the per-request tier replays every offloaded
+//! request through the region's microsim. The `RegionTier` trait in
+//! `src/replay.rs` holds that difference and nothing else; the
+//! fidelity is matched once, where the workers are built. The barrier
+//! phases are strictly ordered — **drain → scale → publish** — in both
+//! fidelity modes: autoscalers adjust live slot counts *before* the next
+//! epoch's [`RegionSignal`]s (per-class waits, the admission
 //! controller's shed fraction, and the marginal serving cost) are
 //! published, so devices always read post-scale capacity. Regions are
 //! independent between the shard drain and the publish, so each region
 //! replays its barrier on its own worker — in parallel when the
 //! scenario's [`ReplayMode`](crate::scenario::ReplayMode) resolves so —
-//! with results merged in fixed region order (see `src/replay.rs`).
+//! with results merged in fixed region order.
 
 use crate::cloud::{CloudSimFidelity, OffloadRequest, QueueDiscipline, RegionSignal};
 use crate::device::{Device, ServeContext};
 use crate::pipeline::PipelinePricing;
 use crate::replay::{
-    replay_in_parallel, run_barrier, FluidRegionReplay, PerRequestRegionReplay, RegionBarrierOutput,
+    replay_in_parallel, run_barrier, FluidRegionReplay, PerRequestRegionReplay,
+    RegionBarrierOutput, RegionTier,
 };
 use crate::report::{BackendReport, FleetReport};
 use crate::scenario::{ArrivalModel, FleetPolicy, FleetScenario, WorkloadCurve};
@@ -408,40 +413,73 @@ impl FleetEngine {
         ))
     }
 
-    /// The shared run loop, generic over the event sink.
+    /// Builds one replay worker per region for the scenario's
+    /// [`CloudSimFidelity`] and runs them through the barrier loop.
     fn run_with<S: Sink>(
         &self,
         sink: &mut S,
     ) -> Result<(FleetReport, MetricsRegistry, EngineProfile), FleetError> {
-        match self.scenario.fidelity {
-            CloudSimFidelity::Fluid => self.run_fluid(sink),
-            CloudSimFidelity::PerRequest => self.run_per_request(sink),
+        let scenario = &self.scenario;
+        let (_, _, num_epochs) = self.clock();
+        let pricing = self.pipeline_pricing();
+        let regions = 0..scenario.regions.len();
+        match scenario.fidelity {
+            CloudSimFidelity::Fluid => {
+                let workers = regions
+                    .map(|_| FluidRegionReplay::new(&scenario.serving, num_epochs))
+                    .collect();
+                self.run_tier(sink, workers, pricing.as_ref())
+            }
+            CloudSimFidelity::PerRequest => {
+                // Offloaded records are deferred to completion; each
+                // region's worker accumulates its own report partial and
+                // sojourn histogram, merged with the shard partials at
+                // the end (fixed-point sums make the merge order
+                // irrelevant — even for failovers, which land a record in
+                // another region's partial).
+                let empty_report = FleetReport::empty(
+                    LATENCY_BIN_MS,
+                    ENERGY_BIN_MJ,
+                    NUM_BINS,
+                    &scenario.region_names(),
+                );
+                let workers = regions
+                    .map(|_| {
+                        PerRequestRegionReplay::new(
+                            &scenario.serving,
+                            &empty_report,
+                            num_epochs,
+                            pricing.clone(),
+                        )
+                    })
+                    .collect();
+                self.run_tier(sink, workers, pricing.as_ref())
+            }
         }
     }
 
-    /// The fluid path (PR 3): offloads are merged as counts and the
-    /// serving tier drains them as epoch aggregates.
-    fn run_fluid<S: Sink>(
+    /// The barrier loop both fidelities share, generic over the event
+    /// sink and the region tier. Each epoch the shards advance in
+    /// parallel, then every region's worker serves, scales and publishes
+    /// at the barrier; `T` holds the only code that differs between the
+    /// fidelities.
+    fn run_tier<S: Sink, T: RegionTier>(
         &self,
         sink: &mut S,
+        mut workers: Vec<T>,
+        pricing: Option<&PipelinePricing>,
     ) -> Result<(FleetReport, MetricsRegistry, EngineProfile), FleetError> {
         let scenario = &self.scenario;
         let num_regions = scenario.regions.len();
         let region_names = scenario.region_names();
-        let horizon_us = to_us(scenario.horizon.get());
-        let epoch_us = to_us(scenario.trace_interval.get());
-        let num_epochs = horizon_us.div_ceil(epoch_us) as usize;
+        let (horizon_us, epoch_us, num_epochs) = self.clock();
 
         // Build shards; each constructs its own contiguous slice of the
         // population (device state depends only on the device id and the
         // scenario seed, never on the shard).
         let mut shard_states = self.build_shards(num_epochs);
-        let pricing = self.pipeline_pricing();
 
         let parallel = replay_in_parallel(scenario.replay(), num_regions);
-        let mut workers: Vec<FluidRegionReplay> = (0..num_regions)
-            .map(|_| FluidRegionReplay::new(&scenario.serving, num_epochs))
-            .collect();
         // Barrier-published per-region signals, one epoch behind.
         let mut signals = vec![RegionSignal::default(); num_regions];
         let mut wait_series = vec![Vec::with_capacity(num_epochs); num_regions];
@@ -450,161 +488,7 @@ impl FleetEngine {
         let mut profile = EngineProfile::new();
         let series = self.register_series::<S>(&mut metrics, &region_names);
         let mut curve_telemetry = self.register_curve_series::<S>(&mut metrics, &region_names);
-
-        for epoch in 0..num_epochs {
-            let epoch_start = epoch as u64 * epoch_us;
-            let epoch_end = ((epoch + 1) as u64 * epoch_us).min(horizon_us);
-            for (region, s) in wait_series.iter_mut().zip(&signals) {
-                region.push(s.wait_low_ms);
-            }
-
-            self.advance_epoch(
-                &mut shard_states,
-                &signals,
-                pricing.as_ref(),
-                epoch,
-                epoch_end,
-                S::ENABLED,
-            );
-            merge_shard_trace::<S>(
-                sink,
-                &mut profile,
-                &mut shard_states,
-                epoch_end,
-                epoch as u64,
-            );
-
-            // Barrier: each region's worker admits the merged offload
-            // demand (integer sums, so the result is independent of the
-            // shard count), runs the serving tier's batch-close events,
-            // scales, then publishes next epoch's signal — strictly in
-            // that order, so published waits and shed fractions price the
-            // post-scale capacity. Regions are independent between the
-            // shard drain and the publish, so the workers replay
-            // region-major — in parallel when the replay mode resolves so
-            // — and buffer telemetry per (region, phase); the flush below
-            // re-serializes it phase-major in fixed region order,
-            // bit-identical to a sequential per-phase sweep.
-            let epoch_ms = (epoch_end - epoch_start) as f64 / 1000.0;
-            let shard_epochs: Vec<&ShardEpochOutput> =
-                shard_states.iter().map(|state| &state.epoch).collect();
-            let mut outputs = run_barrier(&mut workers, parallel, |region, worker| {
-                worker.barrier(region, &shard_epochs, epoch_ms, epoch_end, S::ENABLED)
-            });
-            flush_barrier_outputs::<S>(sink, &mut profile, &mut outputs, epoch_end, epoch as u64);
-            for (signal, output) in signals.iter_mut().zip(&outputs) {
-                *signal = output.signal;
-            }
-            if S::ENABLED {
-                profile.bump_epochs();
-                for region in 0..num_regions {
-                    let serving = &workers[region].serving;
-                    metrics.push(series.depth[region], to_fp(serving.depth()));
-                    metrics.push(series.shed[region], to_fp(signals[region].shed_fraction));
-                    for (backend, &id) in series.slots[region].iter().enumerate() {
-                        let live = serving.live_slots()[backend];
-                        metrics.push(id, live as i64 * METRIC_FP_SCALE);
-                    }
-                }
-                sample_curve(
-                    sink,
-                    &mut metrics,
-                    &mut curve_telemetry,
-                    self.scenario.workload(),
-                    epoch_start,
-                    epoch_end,
-                );
-            }
-        }
-
-        let mut report = FleetReport::empty(LATENCY_BIN_MS, ENERGY_BIN_MJ, NUM_BINS, &region_names);
-        for state in &shard_states {
-            report.merge(&state.report);
-        }
-        let depth_series = workers
-            .iter_mut()
-            .map(|worker| std::mem::take(&mut worker.depth_series))
-            .collect();
-        report.set_queue_series(depth_series, wait_series);
-        let horizon_ms = horizon_us as f64 / 1000.0;
-        let mut backend_reports = Vec::new();
-        for (region, worker) in workers.iter().enumerate() {
-            for stats in worker.serving.backend_stats() {
-                backend_reports.push(BackendReport {
-                    region: region_names[region].clone(),
-                    backend: stats.name,
-                    slots: stats.slots,
-                    served_jobs: stats.served_jobs,
-                    batches: stats.batches,
-                    busy_ms: stats.busy_ms,
-                    utilization: stats.busy_ms / horizon_ms,
-                    batch_sizes: stats.batch_sizes,
-                    sojourn_ms: stats.sojourn_ms,
-                    slot_timeline: stats.slot_timeline,
-                    scaling_events: stats.scale_events,
-                    cost_fp: stats.cost_fp,
-                    cloud_energy_mj: stats.cloud_energy_mj,
-                });
-            }
-        }
-        report.set_backend_reports(backend_reports);
-        Ok((report, metrics, profile))
-    }
-
-    /// The per-request path: every offloaded request becomes a discrete
-    /// event inside its serving region's [`RegionMicrosim`].
-    ///
-    /// Shards still advance a whole epoch in parallel — an offload only
-    /// *joins the cloud queue*, it cannot influence any other device
-    /// within the epoch — so at the barrier the engine merges each
-    /// region's requests from all shards, sorts them by the
-    /// shard-count-invariant `(arrival_us, device_id, stage)` key, and replays
-    /// the epoch through the microsim's event heap, interleaving device
-    /// arrival events with batch-close and slot-free events in global
-    /// time order. Completions (whenever they land) finish the deferred
-    /// device records: end-to-end latency = the device-side latency
-    /// captured at arrival + the exact cloud sojourn.
-    fn run_per_request<S: Sink>(
-        &self,
-        sink: &mut S,
-    ) -> Result<(FleetReport, MetricsRegistry, EngineProfile), FleetError> {
-        let scenario = &self.scenario;
-        let num_regions = scenario.regions.len();
-        let region_names = scenario.region_names();
-        let horizon_us = to_us(scenario.horizon.get());
-        let epoch_us = to_us(scenario.trace_interval.get());
-        let num_epochs = horizon_us.div_ceil(epoch_us) as usize;
-
-        let mut shard_states = self.build_shards(num_epochs);
-
-        let parallel = replay_in_parallel(scenario.replay(), num_regions);
-        // Offloaded records are deferred to completion; each region's
-        // worker accumulates its own report partial and sojourn histogram,
-        // merged with the shard partials at the end (fixed-point sums make
-        // the merge order irrelevant — even for failovers, which land a
-        // record in another region's partial).
-        let empty_report =
-            FleetReport::empty(LATENCY_BIN_MS, ENERGY_BIN_MJ, NUM_BINS, &region_names);
-        let pricing = self.pipeline_pricing();
-        let mut workers: Vec<PerRequestRegionReplay> = (0..num_regions)
-            .map(|_| {
-                PerRequestRegionReplay::new(
-                    &scenario.serving,
-                    &empty_report,
-                    num_epochs,
-                    pricing.clone(),
-                )
-            })
-            .collect();
-        let mut signals = vec![RegionSignal::default(); num_regions];
-        let mut wait_series = vec![Vec::with_capacity(num_epochs); num_regions];
-
-        let mut metrics = MetricsRegistry::new(epoch_us);
-        let mut profile = EngineProfile::new();
-        let mut probe = self.make_probe::<S>();
-        let series = self.register_series::<S>(&mut metrics, &region_names);
-        let mut curve_telemetry = self.register_curve_series::<S>(&mut metrics, &region_names);
-        let p99_series: Vec<SeriesId> = if S::ENABLED {
+        let p99_series: Vec<SeriesId> = if S::ENABLED && T::PER_REQUEST {
             region_names
                 .iter()
                 .map(|name| metrics.series(&format!("p99_ms/{name}")))
@@ -623,7 +507,7 @@ impl FleetEngine {
             self.advance_epoch(
                 &mut shard_states,
                 &signals,
-                pricing.as_ref(),
+                pricing,
                 epoch,
                 epoch_end,
                 S::ENABLED,
@@ -636,13 +520,17 @@ impl FleetEngine {
                 epoch as u64,
             );
 
-            // Barrier: each region's worker k-way merges the shards'
-            // request runs, replays them through its microsim, scales,
-            // then publishes — region-major, in parallel when the replay
-            // mode resolves so. Regions are independent between the shard
-            // drain and the publish, so this is behavior-preserving, and
-            // the phase-major flush below reproduces the sequential
-            // sweep's telemetry stream bit for bit.
+            // Barrier: each region's worker serves the shards' merged
+            // offloads (integer counts or key-sorted request runs, so the
+            // result is independent of the shard count), scales, then
+            // publishes next epoch's signal — strictly in that order, so
+            // published waits and shed fractions price the post-scale
+            // capacity. Regions are independent between the shard drain
+            // and the publish, so the workers replay region-major — in
+            // parallel when the replay mode resolves so — and buffer
+            // telemetry per (region, phase); the flush below
+            // re-serializes it phase-major in fixed region order,
+            // bit-identical to a sequential per-phase sweep.
             let shard_epochs: Vec<&ShardEpochOutput> =
                 shard_states.iter().map(|state| &state.epoch).collect();
             let mut outputs = run_barrier(&mut workers, parallel, |region, worker| {
@@ -661,20 +549,18 @@ impl FleetEngine {
             }
             if S::ENABLED {
                 profile.bump_epochs();
-                for region in 0..num_regions {
-                    let worker = &workers[region];
-                    metrics.push(series.depth[region], to_fp(worker.sim.depth()));
+                for (region, worker) in workers.iter().enumerate() {
+                    metrics.push(series.depth[region], to_fp(worker.depth()));
                     metrics.push(series.shed[region], to_fp(signals[region].shed_fraction));
-                    for (backend, &id) in series.slots[region].iter().enumerate() {
-                        let live = worker.sim.live_slots()[backend];
+                    for (&id, live) in series.slots[region].iter().zip(worker.live_slots()) {
                         metrics.push(id, live as i64 * METRIC_FP_SCALE);
                     }
-                    // Cumulative tail so far — the closed-loop signal the
-                    // flash-crowd work wants to watch epoch by epoch.
-                    metrics.push(
-                        p99_series[region],
-                        to_fp(worker.sim.region_sojourn().percentile(99.0)),
-                    );
+                    if T::PER_REQUEST {
+                        // Cumulative tail so far — the closed-loop signal
+                        // the flash-crowd work wants to watch epoch by
+                        // epoch.
+                        metrics.push(p99_series[region], to_fp(worker.p99_ms()));
+                    }
                 }
                 sample_curve(
                     sink,
@@ -687,38 +573,34 @@ impl FleetEngine {
             }
         }
 
-        // The cloud drains its backlog past the horizon so every admitted
-        // request completes and the tails account for the whole fleet.
-        // The post-horizon work lands in one final drain-phase record
-        // (sequential: it is one sweep, not per-epoch work).
+        // The per-request cloud drains its backlog past the horizon so
+        // every admitted request completes and the tails account for the
+        // whole fleet. The post-horizon work lands in one final
+        // drain-phase record (sequential: it is one sweep, not per-epoch
+        // work).
+        let mut probe = PhaseProbe::new(S::ENABLED);
         for (region, worker) in workers.iter_mut().enumerate() {
             worker.flush(region, &mut probe);
         }
-        flush_probe::<S>(
-            sink,
-            &mut profile,
-            &mut probe,
-            BarrierPhase::Drain,
-            horizon_us,
-            num_epochs as u64,
-        );
+        if T::PER_REQUEST {
+            flush_probe::<S>(
+                sink,
+                &mut profile,
+                &mut probe,
+                BarrierPhase::Drain,
+                horizon_us,
+                num_epochs as u64,
+            );
+        }
 
         let mut report = FleetReport::empty(LATENCY_BIN_MS, ENERGY_BIN_MJ, NUM_BINS, &region_names);
         for state in &shard_states {
             report.merge(&state.report);
         }
-        for worker in &workers {
-            report.merge(&worker.report);
-        }
-        let depth_series = workers
-            .iter_mut()
-            .map(|worker| std::mem::take(&mut worker.depth_series))
-            .collect();
-        report.set_queue_series(depth_series, wait_series);
         let horizon_ms = horizon_us as f64 / 1000.0;
         let mut backend_reports = Vec::new();
         for (region, worker) in workers.iter().enumerate() {
-            for stats in worker.sim.backend_stats() {
+            for stats in worker.backend_stats() {
                 backend_reports.push(BackendReport {
                     region: region_names[region].clone(),
                     backend: stats.name,
@@ -736,14 +618,23 @@ impl FleetEngine {
                 });
             }
         }
+        let (depth_series, cloud_sojourn) = workers
+            .into_iter()
+            .map(|worker| worker.finish(&mut report))
+            .unzip();
+        report.set_queue_series(depth_series, wait_series);
         report.set_backend_reports(backend_reports);
-        report.set_cloud_sojourn(
-            workers
-                .into_iter()
-                .map(|mut worker| worker.sim.take_region_sojourn())
-                .collect(),
-        );
+        report.set_cloud_sojourn(cloud_sojourn);
         Ok((report, metrics, profile))
+    }
+
+    /// The run's event clock: `(horizon µs, epoch µs, epochs)`. The last
+    /// epoch is partial when the epoch length does not divide the
+    /// horizon.
+    fn clock(&self) -> (u64, u64, usize) {
+        let horizon_us = to_us(self.scenario.horizon.get());
+        let epoch_us = to_us(self.scenario.trace_interval.get());
+        (horizon_us, epoch_us, horizon_us.div_ceil(epoch_us) as usize)
     }
 
     /// Transfer prices for the scenario's staged pipeline, if it has one
@@ -759,15 +650,6 @@ impl FleetEngine {
                 .collect();
             PipelinePricing::new(spec, &uplinks)
         })
-    }
-
-    /// The barrier-thread probe: recording iff the sink is enabled.
-    fn make_probe<S: Sink>(&self) -> PhaseProbe {
-        if S::ENABLED {
-            PhaseProbe::enabled()
-        } else {
-            PhaseProbe::disabled()
-        }
     }
 
     /// Registers the per-region timelines sampled at every barrier, in
@@ -1252,9 +1134,7 @@ fn advance_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cloud::{
-        AdmissionPolicy, BackendConfig, CloudCapacity, CloudServing, FailoverPolicy,
-    };
+    use crate::cloud::{AdmissionPolicy, BackendConfig, CloudServing, FailoverPolicy};
     use crate::scenario::RegionShare;
     use lens_nn::units::{Mbps, Millis};
     use lens_runtime::{DeploymentKind, Metric};
@@ -1265,7 +1145,7 @@ mod tests {
             .population(300)
             .horizon(Millis::new(600_000.0))
             .trace_interval(Millis::new(60_000.0))
-            .cloud(CloudCapacity::new(4, 10.0))
+            .serving(CloudServing::single(4, 10.0))
             .shards(shards)
             .seed(42)
             .build()
@@ -1401,9 +1281,9 @@ mod tests {
         // (drain budget 120/epoch) saturate the queue hard.
         let congested = |discipline_priority: bool| {
             let cloud = if discipline_priority {
-                CloudCapacity::new(2, 1000.0).with_priority(0.2)
+                CloudServing::single(2, 1000.0).with_priority(0.2)
             } else {
-                CloudCapacity::new(2, 1000.0)
+                CloudServing::single(2, 1000.0)
             };
             let scenario = FleetScenario::builder()
                 .population(400)
@@ -1412,7 +1292,7 @@ mod tests {
                     Region::new("USA", Mbps::new(7.5)),
                     1.0,
                 )])
-                .cloud(cloud)
+                .serving(cloud)
                 .policy(FleetPolicy::Fixed(DeploymentKind::AllCloud))
                 .metric(Metric::Latency)
                 .shards(2)

@@ -134,10 +134,10 @@
 //!
 //! # Examples
 //!
-//! A small dynamic fleet against the default single-backend cloud:
+//! A small dynamic fleet against one unbatched backend per region:
 //!
 //! ```
-//! use lens_fleet::{CloudCapacity, FleetPolicy, FleetScenario};
+//! use lens_fleet::{CloudServing, FleetPolicy, FleetScenario};
 //! use lens_nn::units::Millis;
 //! use lens_runtime::Metric;
 //!
@@ -145,7 +145,7 @@
 //! let scenario = FleetScenario::builder()
 //!     .population(200)
 //!     .horizon(Millis::new(600_000.0)) // 10 minutes
-//!     .cloud(CloudCapacity::new(8, 8.0))
+//!     .serving(CloudServing::single(8, 8.0)) // 8 slots × 8 ms per request
 //!     .policy(FleetPolicy::Dynamic)
 //!     .metric(Metric::Energy)
 //!     .seed(7)
@@ -224,10 +224,9 @@ pub mod report;
 pub mod scenario;
 
 pub use cloud::{
-    AdmissionPolicy, Autoscaler, BackendConfig, BackendStats, BatchPolicy, CloudCapacity,
-    CloudServing, CloudSimFidelity, CompletedRequest, DispatchPolicy, FailoverPolicy,
-    OffloadRequest, QueueDiscipline, RegionMicrosim, RegionServing, RegionSignal, ScalerState,
-    ScalingSignal,
+    AdmissionPolicy, Autoscaler, BackendConfig, BackendStats, BatchPolicy, CloudServing,
+    CloudSimFidelity, CompletedRequest, DispatchPolicy, FailoverPolicy, OffloadRequest,
+    QueueDiscipline, RegionMicrosim, RegionServing, RegionSignal, ScalerState, ScalingSignal,
 };
 pub use device::{Cohort, Device};
 pub use engine::FleetEngine;

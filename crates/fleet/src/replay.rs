@@ -1,4 +1,4 @@
-//! Parallel barrier replay.
+//! Parallel barrier replay, and the one place the cloud fidelities differ.
 //!
 //! Between the shard-step drain and the signal publish, every region's
 //! serving tier is **independent**: a [`RegionServing`]/[`RegionMicrosim`]
@@ -7,6 +7,13 @@
 //! region and, at each epoch barrier, runs all workers — drain → scale →
 //! publish, region-major — either sequentially or fanned out over a
 //! scoped thread pool ([`run_barrier`]).
+//!
+//! Both fidelities run through the engine's one barrier loop. A worker is
+//! a [`RegionTier`], and the trait holds everything that differs:
+//! [`FluidRegionReplay`] admits merged offload counts and drains them as
+//! epoch aggregates, while [`PerRequestRegionReplay`] replays every
+//! offloaded request through its region's microsim, chains pipeline
+//! stages, and drains its backlog past the horizon.
 //!
 //! Determinism holds by construction, not by luck:
 //!
@@ -28,12 +35,13 @@
 //!   (`tests/cross_crate_props.rs` pins Sequential vs. Parallel).
 
 use crate::cloud::{
-    CloudServing, CompletedRequest, OffloadRequest, RegionMicrosim, RegionServing, RegionSignal,
+    BackendStats, CloudServing, CompletedRequest, OffloadRequest, RegionMicrosim, RegionServing,
+    RegionSignal, SOJOURN_BINS, SOJOURN_BIN_MS,
 };
 use crate::device::Served;
 use crate::engine::ShardEpochOutput;
 use crate::pipeline::PipelinePricing;
-use crate::report::FleetReport;
+use crate::report::{FleetReport, Histogram};
 use crate::scenario::ReplayMode;
 use lens_telemetry::{PhaseCounters, PhaseProbe, TraceEvent};
 
@@ -93,10 +101,55 @@ where
     }
 }
 
+/// One region's replay worker: everything the two cloud fidelities do
+/// differently. The engine's barrier loop is generic over this trait, so
+/// it is written once for both.
+pub(crate) trait RegionTier: Send {
+    /// Whether the tier replays individual requests. Only such tiers
+    /// measure a cumulative region p99 (sampled as `p99_ms/<region>`)
+    /// and record their post-horizon flush as a final drain phase.
+    const PER_REQUEST: bool;
+
+    /// One epoch barrier for `region` over `[epoch_start, epoch_end)` µs:
+    /// serve the shards' offloads, scale, publish — buffering per-phase
+    /// telemetry when `traced` instead of writing to a shared sink.
+    /// `last` marks the horizon's final barrier.
+    fn barrier(
+        &mut self,
+        region: usize,
+        shards: &[&ShardEpochOutput],
+        epoch_start: u64,
+        epoch_end: u64,
+        last: bool,
+        traced: bool,
+    ) -> RegionBarrierOutput;
+
+    /// Serves whatever is still queued or in flight after the last
+    /// barrier. Nothing, by default.
+    fn flush(&mut self, _region: usize, _probe: &mut PhaseProbe) {}
+
+    /// Jobs queued across the region's backends.
+    fn depth(&self) -> f64;
+
+    /// Live slot counts, backend order.
+    fn live_slots(&self) -> Vec<u64>;
+
+    /// The region's cumulative p99 cloud sojourn so far (ms).
+    fn p99_ms(&self) -> f64;
+
+    /// Per-backend cumulative stats, backend order.
+    fn backend_stats(&self) -> Vec<BackendStats>;
+
+    /// Ends the run: folds the worker's report partial, if it keeps one,
+    /// into `report`, and hands back the region's queue-depth series and
+    /// cloud sojourn histogram.
+    fn finish(self, report: &mut FleetReport) -> (Vec<f64>, Histogram);
+}
+
 /// The fluid tier's per-region replay worker.
 pub(crate) struct FluidRegionReplay {
-    pub(crate) serving: RegionServing,
-    pub(crate) depth_series: Vec<f64>,
+    serving: RegionServing,
+    depth_series: Vec<f64>,
 }
 
 impl FluidRegionReplay {
@@ -106,36 +159,66 @@ impl FluidRegionReplay {
             depth_series: Vec::with_capacity(num_epochs),
         }
     }
+}
 
-    /// One epoch barrier for this region: admit the merged offload
-    /// counts, run the batch-close drain, scale, publish — buffering
-    /// per-phase telemetry instead of writing to a shared sink.
-    pub(crate) fn barrier(
+impl RegionTier for FluidRegionReplay {
+    const PER_REQUEST: bool = false;
+
+    /// Admits the merged offload counts, runs the batch-close drain over
+    /// the epoch's length, scales, and publishes.
+    fn barrier(
         &mut self,
         region: usize,
         shards: &[&ShardEpochOutput],
-        epoch_ms: f64,
+        epoch_start: u64,
         epoch_end: u64,
+        _last: bool,
         traced: bool,
     ) -> RegionBarrierOutput {
+        let epoch_ms = (epoch_end - epoch_start) as f64 / 1000.0;
         let (high, low) = shards
             .iter()
             .map(|shard| shard.arrivals[region])
             .fold((0, 0), |(h, l), (sh, sl)| (h + sh, l + sl));
         self.serving.admit(high, low);
         self.depth_series.push(self.serving.depth());
-        let mut probe = region_probe(traced);
+        let mut probe = PhaseProbe::new(traced);
         self.serving
-            .drain_probed(epoch_ms, epoch_end, region as u64, &mut probe);
+            .drain(epoch_ms, epoch_end, region as u64, &mut probe);
         let drain = probe.take();
         self.serving
-            .scale_probed(epoch_ms, epoch_end, region as u64, &mut probe);
+            .scale(epoch_ms, epoch_end, region as u64, &mut probe);
         let scale = probe.take();
         RegionBarrierOutput {
             signal: self.serving.publish(),
             drain,
             scale,
         }
+    }
+
+    fn depth(&self) -> f64 {
+        self.serving.depth()
+    }
+
+    fn live_slots(&self) -> Vec<u64> {
+        self.serving.live_slots()
+    }
+
+    /// Fluid epochs have no per-request sojourns to take a percentile of.
+    fn p99_ms(&self) -> f64 {
+        0.0
+    }
+
+    fn backend_stats(&self) -> Vec<BackendStats> {
+        self.serving.backend_stats()
+    }
+
+    /// Fluid runs keep an empty sojourn histogram.
+    fn finish(self, _report: &mut FleetReport) -> (Vec<f64>, Histogram) {
+        (
+            self.depth_series,
+            Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
+        )
     }
 }
 
@@ -147,9 +230,9 @@ impl FluidRegionReplay {
 /// the microsim, folded incrementally from the per-backend epoch windows
 /// at each barrier.
 pub(crate) struct PerRequestRegionReplay {
-    pub(crate) sim: RegionMicrosim,
-    pub(crate) report: FleetReport,
-    pub(crate) depth_series: Vec<f64>,
+    sim: RegionMicrosim,
+    report: FleetReport,
+    depth_series: Vec<f64>,
     merged: Vec<OffloadRequest>,
     completions: Vec<CompletedRequest>,
     /// Staged-pipeline transfer prices; `None` for monolithic scenarios,
@@ -183,81 +266,6 @@ impl PerRequestRegionReplay {
             completions: Vec::new(),
             pricing,
             pending: Vec::new(),
-        }
-    }
-
-    /// One epoch barrier for this region: k-way merge the shards'
-    /// request runs (joining any chained stage arrivals that came due),
-    /// replay them through the microsim, record the completions —
-    /// spawning next-stage arrivals for staged pipelines — scale,
-    /// publish the (hysteresis-held) tail signal.
-    ///
-    /// `last` marks the horizon's final barrier: chains spawned there
-    /// have no later barrier to shift into, so their stamps clamp to
-    /// the horizon end instead — right where the post-horizon flush
-    /// picks them up, keeping the flush waves' timeline monotone.
-    pub(crate) fn barrier(
-        &mut self,
-        region: usize,
-        shards: &[&ShardEpochOutput],
-        epoch_start: u64,
-        epoch_end: u64,
-        last: bool,
-        traced: bool,
-    ) -> RegionBarrierOutput {
-        merge_requests(shards, region, &mut self.merged);
-        let mut probe = region_probe(traced);
-        if !self.pending.is_empty() {
-            // Pull due chained stages into this epoch's batch. The
-            // stable sort keeps completion order for the (rare) ties
-            // where two same-device requests finish in the same batch
-            // and chain to identical next-stage arrivals — completion
-            // order is shard-invariant, so the batch order stays
-            // shard-invariant too.
-            let mut later = Vec::new();
-            let mut due = false;
-            for request in self.pending.drain(..) {
-                if request.arrival_us < epoch_end {
-                    self.merged.push(request);
-                    due = true;
-                } else {
-                    later.push(request);
-                }
-            }
-            self.pending = later;
-            if due {
-                self.merged
-                    .sort_by_key(|r| (r.arrival_us, r.device_id, r.stage));
-            }
-        }
-        probe.on_merged(self.merged.len() as u64);
-        self.completions.clear();
-        self.sim.run_epoch_probed(
-            &self.merged,
-            epoch_end,
-            &mut self.completions,
-            region as u64,
-            &mut probe,
-        );
-        let (shift_us, floor_us) = if last {
-            (0, epoch_end)
-        } else {
-            (epoch_end - epoch_start, 0)
-        };
-        self.absorb_completions(region, shift_us, floor_us, &mut probe);
-        self.depth_series.push(self.sim.depth());
-        let drain = probe.take();
-        self.sim.scale_probed(
-            epoch_end,
-            epoch_end - epoch_start,
-            region as u64,
-            &mut probe,
-        );
-        let scale = probe.take();
-        RegionBarrierOutput {
-            signal: self.sim.barrier_signal(epoch_end),
-            drain,
-            scale,
         }
     }
 
@@ -318,6 +326,85 @@ impl PerRequestRegionReplay {
         }
         self.completions = completions;
     }
+}
+
+impl RegionTier for PerRequestRegionReplay {
+    const PER_REQUEST: bool = true;
+
+    /// K-way merges the shards' request runs (joining any chained stage
+    /// arrivals that came due), replays them through the microsim,
+    /// records the completions — spawning next-stage arrivals for staged
+    /// pipelines — scales, and publishes the (hysteresis-held) tail
+    /// signal.
+    ///
+    /// Chains spawned at the `last` barrier have no later barrier to
+    /// shift into, so their stamps clamp to the horizon end instead —
+    /// right where the post-horizon flush picks them up, keeping the
+    /// flush waves' timeline monotone.
+    fn barrier(
+        &mut self,
+        region: usize,
+        shards: &[&ShardEpochOutput],
+        epoch_start: u64,
+        epoch_end: u64,
+        last: bool,
+        traced: bool,
+    ) -> RegionBarrierOutput {
+        merge_requests(shards, region, &mut self.merged);
+        let mut probe = PhaseProbe::new(traced);
+        if !self.pending.is_empty() {
+            // Pull due chained stages into this epoch's batch. The
+            // stable sort keeps completion order for the (rare) ties
+            // where two same-device requests finish in the same batch
+            // and chain to identical next-stage arrivals — completion
+            // order is shard-invariant, so the batch order stays
+            // shard-invariant too.
+            let mut later = Vec::new();
+            let mut due = false;
+            for request in self.pending.drain(..) {
+                if request.arrival_us < epoch_end {
+                    self.merged.push(request);
+                    due = true;
+                } else {
+                    later.push(request);
+                }
+            }
+            self.pending = later;
+            if due {
+                self.merged
+                    .sort_by_key(|r| (r.arrival_us, r.device_id, r.stage));
+            }
+        }
+        probe.on_merged(self.merged.len() as u64);
+        self.completions.clear();
+        self.sim.run_epoch(
+            &self.merged,
+            epoch_end,
+            &mut self.completions,
+            region as u64,
+            &mut probe,
+        );
+        let (shift_us, floor_us) = if last {
+            (0, epoch_end)
+        } else {
+            (epoch_end - epoch_start, 0)
+        };
+        self.absorb_completions(region, shift_us, floor_us, &mut probe);
+        self.depth_series.push(self.sim.depth());
+        let drain = probe.take();
+        self.sim.scale(
+            epoch_end,
+            epoch_end - epoch_start,
+            region as u64,
+            &mut probe,
+        );
+        let scale = probe.take();
+        RegionBarrierOutput {
+            signal: self.sim.barrier_signal(epoch_end),
+            drain,
+            scale,
+        }
+    }
 
     /// Post-horizon drain: the cloud keeps serving until every admitted
     /// request completes. Runs sequentially on the engine thread (it is
@@ -326,11 +413,10 @@ impl PerRequestRegionReplay {
     /// replayed as a fresh batch and flushed again until no stage is
     /// left in flight — at most `depth - 1` extra waves, since stage
     /// numbers only climb.
-    pub(crate) fn flush(&mut self, region: usize, probe: &mut PhaseProbe) {
+    fn flush(&mut self, region: usize, probe: &mut PhaseProbe) {
         loop {
             self.completions.clear();
-            self.sim
-                .flush_probed(&mut self.completions, region as u64, probe);
+            self.sim.flush(&mut self.completions, region as u64, probe);
             self.absorb_completions(region, 0, 0, probe);
             if self.pending.is_empty() {
                 return;
@@ -346,7 +432,7 @@ impl PerRequestRegionReplay {
             // slot-free wakeups or wave arrivals queued behind them
             // would never re-dispatch.
             self.sim.rearm_slot_events(probe);
-            self.sim.run_epoch_probed(
+            self.sim.run_epoch(
                 &self.merged,
                 wave_end,
                 &mut self.completions,
@@ -356,14 +442,26 @@ impl PerRequestRegionReplay {
             self.absorb_completions(region, 0, 0, probe);
         }
     }
-}
 
-/// The barrier-thread probe for one region: recording iff tracing.
-fn region_probe(traced: bool) -> PhaseProbe {
-    if traced {
-        PhaseProbe::enabled()
-    } else {
-        PhaseProbe::disabled()
+    fn depth(&self) -> f64 {
+        self.sim.depth()
+    }
+
+    fn live_slots(&self) -> Vec<u64> {
+        self.sim.live_slots()
+    }
+
+    fn p99_ms(&self) -> f64 {
+        self.sim.region_sojourn().percentile(99.0)
+    }
+
+    fn backend_stats(&self) -> Vec<BackendStats> {
+        self.sim.backend_stats()
+    }
+
+    fn finish(mut self, report: &mut FleetReport) -> (Vec<f64>, Histogram) {
+        report.merge(&self.report);
+        (self.depth_series, self.sim.take_region_sojourn())
     }
 }
 

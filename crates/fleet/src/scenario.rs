@@ -7,7 +7,7 @@
 //! engines given the same scenario produce the same [`crate::FleetReport`]
 //! (see the crate-level determinism contract).
 
-use crate::cloud::{CloudCapacity, CloudServing, CloudSimFidelity};
+use crate::cloud::{CloudServing, CloudSimFidelity};
 use crate::pipeline::PipelineSpec;
 use crate::FleetError;
 use lens_device::DeviceProfile;
@@ -470,7 +470,7 @@ impl Default for FleetScenarioBuilder {
             arrival: ArrivalModel::Periodic {
                 period: Millis::new(60_000.0),
             },
-            serving: CloudServing::from(CloudCapacity::new(64, 8.0)),
+            serving: CloudServing::single(64, 8.0),
             fidelity: CloudSimFidelity::Fluid,
             policy: FleetPolicy::Dynamic,
             metric: Metric::Energy,
@@ -519,21 +519,13 @@ impl FleetScenarioBuilder {
         self
     }
 
-    /// Sets the per-region cloud to a single unbatched backend with the
-    /// given capacity (the PR 2 fluid-queue model). For heterogeneous
-    /// backends, batching, admission control, or failover, use
-    /// [`serving`](FleetScenarioBuilder::serving).
-    pub fn cloud(mut self, cloud: CloudCapacity) -> Self {
-        self.serving = CloudServing::from(cloud);
-        self
-    }
-
     /// Sets the full per-region serving tier: heterogeneous batched
     /// backends (optionally priced and autoscaled), queue discipline,
     /// dispatch policy (least-work-left or cost-aware), admission
-    /// control, and failover. Cross-field constraints — including
-    /// autoscaler bounds and price/energy sanity — are checked by
-    /// [`CloudServing::validate`] at [`build`](FleetScenarioBuilder::build).
+    /// control, and failover — or [`CloudServing::single`] for one
+    /// unbatched backend. Every field and the cross-field constraints —
+    /// including autoscaler bounds and price/energy sanity — are checked
+    /// by [`CloudServing::validate`] at [`build`](FleetScenarioBuilder::build).
     pub fn serving(mut self, serving: CloudServing) -> Self {
         self.serving = serving;
         self
@@ -762,6 +754,70 @@ mod tests {
         match err {
             FleetError::InvalidScenario(why) => assert!(why.contains("backend"), "{why}"),
             other => panic!("expected InvalidScenario, got {other:?}"),
+        }
+    }
+
+    /// Corrupts a valid batched tier through its public fields and
+    /// asserts the scenario build rejects it, naming the field.
+    fn assert_tier_rejected(corrupt: impl FnOnce(&mut CloudServing), needle: &str) {
+        let mut serving = CloudServing::new(vec![
+            BackendConfig::new("gpu", 2, 32.0, 1.0).with_batching(8, 20.0)
+        ]);
+        corrupt(&mut serving);
+        match FleetScenario::builder().serving(serving).build() {
+            Err(FleetError::InvalidScenario(why)) => {
+                assert!(why.contains(needle), "{why} should mention {needle}")
+            }
+            other => panic!("expected InvalidScenario({needle}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_slot_backend_is_rejected_at_build() {
+        assert_tier_rejected(|s| s.backends[0].slots = 0, "at least one slot");
+    }
+
+    #[test]
+    fn bad_base_service_ms_is_rejected_at_build() {
+        for bad in [f64::NAN, -10.0, f64::INFINITY] {
+            assert_tier_rejected(|s| s.backends[0].base_service_ms = bad, "base_service_ms");
+        }
+    }
+
+    #[test]
+    fn bad_per_item_ms_is_rejected_at_build() {
+        for bad in [f64::NAN, -1.0] {
+            assert_tier_rejected(|s| s.backends[0].per_item_ms = bad, "per_item_ms");
+        }
+        assert_tier_rejected(
+            |s| {
+                s.backends[0].base_service_ms = 0.0;
+                s.backends[0].per_item_ms = 0.0;
+            },
+            "single-item service time",
+        );
+    }
+
+    #[test]
+    fn zero_max_batch_is_rejected_at_build() {
+        assert_tier_rejected(|s| s.backends[0].batching.max_batch = 0, "max_batch");
+    }
+
+    #[test]
+    fn bad_linger_ms_is_rejected_at_build() {
+        for bad in [f64::NAN, -5.0] {
+            assert_tier_rejected(|s| s.backends[0].batching.linger_ms = bad, "linger_ms");
+        }
+    }
+
+    #[test]
+    fn bad_high_fraction_is_rejected_at_build() {
+        use crate::cloud::QueueDiscipline;
+        for bad in [f64::NAN, 3.0, -0.1] {
+            assert_tier_rejected(
+                |s| s.discipline = QueueDiscipline::Priority { high_fraction: bad },
+                "high_fraction",
+            );
         }
     }
 

@@ -69,10 +69,10 @@ pub mod prelude {
     };
     pub use lens_fleet::{
         AdmissionPolicy, ArrivalModel, Autoscaler, BackendConfig, BackendReport, BatchPolicy,
-        CloudCapacity, CloudServing, CloudSimFidelity, DispatchPolicy, FailoverPolicy, FleetEngine,
-        FleetPolicy, FleetReport, FleetScenario, OffloadRequest, PipelineSpec, QueueDiscipline,
-        RegionMicrosim, RegionServing, RegionShare, ReplayMode, ScalerState, ScalingSignal,
-        TailSummary, WorkloadCurve, MAX_PIPELINE_DEPTH,
+        CloudServing, CloudSimFidelity, DispatchPolicy, FailoverPolicy, FleetEngine, FleetPolicy,
+        FleetReport, FleetScenario, OffloadRequest, PipelineSpec, QueueDiscipline, RegionMicrosim,
+        RegionServing, RegionShare, ReplayMode, ScalerState, ScalingSignal, TailSummary,
+        WorkloadCurve, MAX_PIPELINE_DEPTH,
     };
     pub use lens_nn::units::{Bytes, Mbps, Millijoules, Millis, Milliwatts};
     pub use lens_nn::{zoo, Network, NetworkBuilder, TensorShape};

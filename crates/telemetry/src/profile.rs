@@ -43,9 +43,9 @@ impl PhaseCounters {
 ///
 /// A probe is either enabled (traced run) or disabled (plain run). Every
 /// method is `#[inline]` and gates on the flag first, so the disabled
-/// probe that the untraced wrappers pass down costs one predictable
-/// branch. The probe is a concrete type — not a generic parameter — so
-/// `cloud.rs` and `device.rs` stay monomorphization-free.
+/// probe an untraced caller passes costs one predictable branch. The
+/// probe is a concrete type — not a generic parameter — so `cloud.rs`
+/// and `device.rs` stay monomorphization-free.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseProbe {
     enabled: bool,
@@ -54,18 +54,22 @@ pub struct PhaseProbe {
 }
 
 impl PhaseProbe {
+    /// A probe that records iff `enabled` — e.g. iff the run's sink does.
+    pub fn new(enabled: bool) -> Self {
+        PhaseProbe {
+            enabled,
+            ..PhaseProbe::default()
+        }
+    }
+
     /// A recording probe.
     pub fn enabled() -> Self {
-        PhaseProbe {
-            enabled: true,
-            events: Vec::new(),
-            counters: PhaseCounters::default(),
-        }
+        PhaseProbe::new(true)
     }
 
     /// A no-op probe for untraced code paths.
     pub fn disabled() -> Self {
-        PhaseProbe::default()
+        PhaseProbe::new(false)
     }
 
     /// Whether this probe records anything.

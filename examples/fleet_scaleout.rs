@@ -38,7 +38,7 @@ fn scenario(
         .arrival(ArrivalModel::Periodic {
             period: Millis::new(60_000.0),
         })
-        .cloud(CloudCapacity::new(slots, 12.0))
+        .serving(CloudServing::single(slots, 12.0))
         .policy(policy)
         .metric(metric)
         .seed(2021)

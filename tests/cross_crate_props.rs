@@ -1,6 +1,7 @@
 //! Cross-crate property tests: invariants that span the whole stack.
 
 use lens::core::{PartitionPolicy, PerfEvaluator};
+use lens::fleet::PhaseProbe;
 use lens::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -193,8 +194,8 @@ proptest! {
             .collect();
         requests.sort_unstable_by_key(|r| (r.arrival_us, r.device_id));
         let mut out = Vec::new();
-        sim.run_epoch(&requests, 1_000_000, &mut out);
-        sim.flush(&mut out);
+        sim.run_epoch(&requests, 1_000_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
         prop_assert_eq!(out.len(), n, "every request must complete");
         let mut completions: Vec<(u64, u64, f64)> = out
             .iter()
@@ -225,7 +226,7 @@ proptest! {
             .population(60)
             .horizon(Millis::new(300_000.0)) // 5 minutes
             .trace_interval(Millis::new(60_000.0))
-            .cloud(CloudCapacity::new(slots, service_ms))
+            .serving(CloudServing::single(slots, service_ms))
             .policy(FleetPolicy::Fixed(DeploymentKind::AllCloud))
             .metric(Metric::Latency)
             .seed(seed)
