@@ -208,8 +208,8 @@ fn autoscaled_serving() -> CloudServing {
     .with_failover(FailoverPolicy::SiblingRegion { penalty_ms: 80.0 })
 }
 
-/// A diurnal-ish congested scenario exercising every PR 5 feature at
-/// once on the [`autoscaled_serving`] tier.
+/// A diurnal-ish congested scenario exercising autoscaling, pricing and
+/// cost-aware dispatch at once on the [`autoscaled_serving`] tier.
 fn autoscaled_scenario(shards: usize, fidelity: CloudSimFidelity) -> FleetScenario {
     FleetScenario::builder()
         .population(6000)
