@@ -49,6 +49,7 @@
 //! Each tier operation is one method that takes a [`PhaseProbe`]; callers
 //! that trace nothing pass [`PhaseProbe::disabled`].
 
+use crate::pipeline::PipelinePricing;
 use crate::report::Histogram;
 use lens_telemetry::{PhaseProbe, TraceEvent};
 use std::cmp::Reverse;
@@ -132,8 +133,8 @@ impl BatchPolicy {
     ///
     /// # Panics
     ///
-    /// Panics if `max_batch` is zero or `linger_ms` is negative or
-    /// non-finite.
+    /// Panics if `max_batch` is zero or `linger_ms` is negative,
+    /// non-finite or above 2^53 µs.
     pub fn new(max_batch: usize, linger_ms: f64) -> Self {
         let policy = BatchPolicy {
             max_batch,
@@ -151,6 +152,9 @@ impl BatchPolicy {
         }
         if !(self.linger_ms.is_finite() && self.linger_ms >= 0.0) {
             return Err("linger_ms must be non-negative and finite".to_string());
+        }
+        if self.linger_ms * 1000.0 > MAX_SPAN_US as f64 {
+            return Err("linger_ms must be at most 2^53 µs".to_string());
         }
         Ok(())
     }
@@ -395,7 +399,7 @@ impl BackendConfig {
     ///
     /// Panics if `slots` is zero, either cost is negative or non-finite,
     /// or the single-item service time `base_service_ms + per_item_ms` is
-    /// not positive.
+    /// not positive or above 2^53 µs.
     pub fn new(name: &str, slots: usize, base_service_ms: f64, per_item_ms: f64) -> Self {
         let config = BackendConfig {
             name: name.to_string(),
@@ -429,6 +433,9 @@ impl BackendConfig {
             return Err("single-item service time must be positive".to_string());
         }
         self.batching.validate()?;
+        if self.batch_service_ms(self.batching.max_batch as f64) * 1000.0 > MAX_SPAN_US as f64 {
+            return Err("full-batch service time must be at most 2^53 µs".to_string());
+        }
         if !(self.price_per_slot_epoch.is_finite() && self.price_per_slot_epoch >= 0.0) {
             return Err("price_per_slot_epoch must be non-negative and finite".to_string());
         }
@@ -1272,15 +1279,15 @@ pub struct OffloadRequest {
     /// unique, shard-count-invariant sort key the barrier merges
     /// requests by.
     pub device_id: u64,
-    /// Pipeline stage (1-based). Shards always emit stage 1; the
-    /// barrier spawns stages 2.. when the scenario carries a staged
-    /// [`crate::PipelineSpec`]. Monolithic scenarios only ever see 1.
-    /// Stage-1 keys are unique fleet-wide, and the stage disambiguates
-    /// a chained arrival landing on the same `(arrival_us, device_id)`
-    /// as a fresh stage-1 request; the one remaining tie — two
-    /// same-device requests finishing in the same batch and chaining to
-    /// identical arrivals — is resolved FIFO by the barrier's stable
-    /// sort, in shard-invariant completion order.
+    /// Pipeline stage (1-based). Shards always emit stage 1; when the
+    /// scenario carries a staged [`crate::PipelineSpec`], the region's
+    /// [`RegionMicrosim`] chains stages 2.. as its own arrival events.
+    /// Monolithic scenarios only ever see 1. Stage-1 keys are unique
+    /// fleet-wide, and the stage disambiguates a chained arrival landing
+    /// on the same `(arrival_us, device_id)` as a fresh stage-1 request;
+    /// the one remaining tie — two same-device requests finishing in the
+    /// same batch and chaining to identical arrivals — is served in push
+    /// order, which is the batch's FIFO order.
     pub stage: u32,
     /// Whether the device is in the high-priority class.
     pub high_priority: bool,
@@ -1309,8 +1316,9 @@ pub struct CompletedRequest {
     /// Cloud sojourn (arrival → batch completion, ms).
     pub sojourn_ms: f64,
     /// Batch completion instant (µs since run start) — the integer the
-    /// barrier chains the next pipeline stage's arrival from
-    /// (`sojourn_ms` is derived from it, never the other way around).
+    /// microsim chains the next pipeline stage's arrival from, at
+    /// `completion_us + hop` (`sojourn_ms` is derived from it, never the
+    /// other way around).
     pub completion_us: u64,
 }
 
@@ -1319,6 +1327,48 @@ pub struct CompletedRequest {
 /// to the batcher that was waiting on it.
 const EVENT_SLOT_FREE: u8 = 0;
 const EVENT_LINGER: u8 = 1;
+
+/// The longest span — a batch's service, a linger window, a request's
+/// summed pipeline hops — the µs clock accepts: 2^53 µs, exact in `f64`
+/// and the cap [`lens_wireless::TransferModel`] also uses.
+pub(crate) const MAX_SPAN_US: u64 = 1 << 53;
+
+/// A chained pipeline stage in transit to its region's front door,
+/// ordered by `(arrival_us, device_id, stage, push)`: same-key hops
+/// arrive in the order their batch closed them.
+#[derive(Debug, Clone, Copy)]
+struct ChainedArrival {
+    request: OffloadRequest,
+    push: u64,
+}
+
+impl Ord for ChainedArrival {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let key = |c: &Self| {
+            (
+                c.request.arrival_us,
+                c.request.device_id,
+                c.request.stage,
+                c.push,
+            )
+        };
+        key(self).cmp(&key(other))
+    }
+}
+
+impl PartialOrd for ChainedArrival {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ChainedArrival {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for ChainedArrival {}
 
 /// Per-backend discrete state inside [`RegionMicrosim`].
 #[derive(Debug, Clone)]
@@ -1441,13 +1491,15 @@ impl MicroBackend {
 /// request is a discrete event with its own arrival, queueing,
 /// batch-admission, service-start, and completion times.
 ///
-/// The microsim advances through an event heap keyed by integer
-/// microseconds. At equal timestamps, slot-free events run before
-/// arrivals and arrivals before linger expiries, and all same-microsecond
-/// arrivals are enqueued before any batch closes — so simultaneous
-/// arrivals can share a batch and the schedule is a pure function of the
-/// merged, `(arrival_us, device_id)`-sorted request stream (the
-/// shard-count-invariance the determinism contract needs).
+/// One event loop on an integer-microsecond clock serves the merged
+/// stage-1 arrival stream, chained pipeline-stage arrivals, and the
+/// slot-free and linger timers. At equal timestamps every arrival —
+/// stream and chained merged by `(device_id, stage)`, same-key chained
+/// ones in push order — enqueues before that instant's timers dispatch,
+/// so simultaneous arrivals can share a batch and the schedule is a
+/// pure function of the merged, `(arrival_us, device_id, stage)`-sorted
+/// request stream (the shard-count-invariance the determinism contract
+/// needs).
 ///
 /// Batch assembly per backend: a batch closes when a slot is free **and**
 /// either `max_batch` requests wait or the oldest waiting request has
@@ -1455,13 +1507,23 @@ impl MicroBackend {
 /// backends serve single-request batches). High-priority requests fill
 /// batches first under the priority discipline. A closed batch of `b`
 /// requests occupies its executor for `base_service_ms + per_item_ms · b`,
-/// and every member completes at the batch's completion time.
+/// and every member completes at the batch's completion time. Under a
+/// staged pipeline, each member below the last stage then schedules its
+/// successor as an arrival at `completion_us + hop`, the hop priced on
+/// its origin region's uplink; a hop that lands past the barrier is
+/// served at its true time by a later epoch or the flush.
 #[derive(Debug, Clone)]
 pub struct RegionMicrosim {
     serving: CloudServing,
     backends: Vec<MicroBackend>,
-    /// Pending timer events: (time µs, kind, backend index).
+    /// Timer events: (time µs, kind, backend index).
     heap: BinaryHeap<Reverse<(u64, u8, u32)>>,
+    /// Staged-pipeline hop prices; `None` keeps the tier monolithic.
+    pricing: Option<PipelinePricing>,
+    /// Chained stage arrivals in transit, earliest key first.
+    chained: BinaryHeap<Reverse<ChainedArrival>>,
+    /// Chained arrivals pushed so far — the next one's `push` tie-break.
+    chain_pushes: u64,
     /// EWMA-damped shed fraction, same controller as the fluid tier.
     shed_fraction: f64,
     /// Region-level sojourns completed since the last barrier — the
@@ -1520,6 +1582,9 @@ impl RegionMicrosim {
             serving: serving.clone(),
             backends,
             heap: BinaryHeap::new(),
+            pricing: None,
+            chained: BinaryHeap::new(),
+            chain_pushes: 0,
             shed_fraction: 0.0,
             epoch_sojourn: Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
             region_sojourn: Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
@@ -1547,17 +1612,30 @@ impl RegionMicrosim {
         &self.serving
     }
 
-    /// Runs one epoch: interleaves the merged, sorted arrival stream with
-    /// the pending service events, pushing every completion (including
-    /// completions of requests admitted in earlier epochs) into `out`.
-    /// Timer events at or beyond `epoch_end_us` stay queued for the next
-    /// epoch.
+    /// Chains every completion below the pipeline's last stage into its
+    /// successor's arrival; `None` keeps the tier monolithic.
+    pub(crate) fn with_pipeline(mut self, pricing: Option<PipelinePricing>) -> Self {
+        self.pricing = pricing;
+        self
+    }
+
+    /// The hop prices this tier chains stages with, if it is staged.
+    pub(crate) fn pipeline(&self) -> Option<&PipelinePricing> {
+        self.pricing.as_ref()
+    }
+
+    /// Runs one epoch: serves the merged, sorted arrival stream together
+    /// with the chained arrivals and timers that fall inside the epoch,
+    /// pushing every completion (including completions of requests
+    /// admitted in earlier epochs) into `out`. Events at or beyond
+    /// `epoch_end_us` stay queued for the next epoch.
     ///
-    /// `requests` must be sorted by `(arrival_us, device_id)` with every
-    /// arrival inside the epoch (debug-asserted). Timer pops, heap
-    /// pushes, and discrete batch closes are counted into `probe`, and
-    /// every batch close is emitted as a [`TraceEvent::BatchClose`] for
-    /// `region` at its exact close instant.
+    /// `requests` must be sorted by the unique
+    /// `(arrival_us, device_id, stage)` key with every arrival inside the
+    /// epoch (debug-asserted). Event pops, heap pushes, and discrete
+    /// batch closes are counted into `probe`, and every batch close is
+    /// emitted as a [`TraceEvent::BatchClose`] for `region` at its exact
+    /// close instant.
     pub fn run_epoch(
         &mut self,
         requests: &[OffloadRequest],
@@ -1566,57 +1644,22 @@ impl RegionMicrosim {
         region: u64,
         probe: &mut PhaseProbe,
     ) {
-        // Stage-1 keys are unique fleet-wide; chained stages (> 1) may
-        // tie when two in-flight requests from one device finish in the
-        // same batch and chain to identical next-stage arrivals — those
-        // serve FIFO in slice order, which the barrier keeps
-        // shard-invariant with a stable sort.
         debug_assert!(requests.windows(2).all(|w| {
-            let a = (w[0].arrival_us, w[0].device_id, w[0].stage);
-            let b = (w[1].arrival_us, w[1].device_id, w[1].stage);
-            a < b || (a == b && w[0].stage > 1)
+            (w[0].arrival_us, w[0].device_id, w[0].stage)
+                < (w[1].arrival_us, w[1].device_id, w[1].stage)
         }));
         debug_assert!(requests.iter().all(|r| r.arrival_us < epoch_end_us));
-        let mut touched = vec![false; self.backends.len()];
-        let mut i = 0;
-        while i < requests.len() {
-            let now = requests[i].arrival_us;
-            // Timer events strictly before the arrival instant run first.
-            // Events at exactly `now` stay queued: a slot freed at `now`
-            // is already visible through the slot heap, and `dispatch`
-            // re-checks the linger deadline directly — so same-instant
-            // arrivals enqueue *before* any batch at `now` closes and can
-            // board it (the documented ordering).
-            self.run_timers(now, false, out, region, probe);
-            touched.iter_mut().for_each(|t| *t = false);
-            while i < requests.len() && requests[i].arrival_us == now {
-                let request = requests[i];
-                let backend = self.least_work_backend(now);
-                let queue = if request.high_priority {
-                    &mut self.backends[backend].queue_high
-                } else {
-                    &mut self.backends[backend].queue_low
-                };
-                queue.push_back(request);
-                touched[backend] = true;
-                i += 1;
-            }
-            for (backend, hit) in touched.iter().enumerate() {
-                if *hit {
-                    self.dispatch(backend, now, out, region, probe);
-                }
-            }
-        }
-        self.run_timers(epoch_end_us, false, out, region, probe);
+        self.advance(requests, epoch_end_us, out, region, probe);
     }
 
-    /// Drains everything still queued or in flight — the cloud keeps
-    /// serving past the horizon so every admitted request completes and
-    /// the tail histograms account for the whole population. The
-    /// post-horizon drain still closes batches, so it records into
-    /// `probe` like [`run_epoch`](RegionMicrosim::run_epoch).
+    /// Drains everything still queued, in flight or in transit between
+    /// stages — the cloud keeps serving past the horizon so every
+    /// admitted request completes and the tail histograms account for
+    /// the whole population. The post-horizon drain still closes
+    /// batches, so it records into `probe` like
+    /// [`run_epoch`](RegionMicrosim::run_epoch).
     pub fn flush(&mut self, out: &mut Vec<CompletedRequest>, region: u64, probe: &mut PhaseProbe) {
-        self.run_timers(u64::MAX, true, out, region, probe);
+        self.advance(&[], u64::MAX, out, region, probe);
         // Fold the post-horizon completions into the cumulative
         // histograms — the final barrier never runs after a flush.
         let RegionMicrosim {
@@ -1629,51 +1672,102 @@ impl RegionMicrosim {
             region_sojourn.merge(&backend.epoch_sojourn);
             backend.epoch_sojourn.reset();
         }
+        debug_assert!(self.chained.is_empty());
         debug_assert!(self.backends.iter().all(|b| b.queued() == 0));
         debug_assert!(self.backends.iter().all(|b| b.linger_event_us == u64::MAX));
     }
 
-    /// Re-arms one slot-free wakeup per executor slot. A flush pops
-    /// every pending event while executors may stay occupied into the
-    /// future; a post-flush **wave** of chained stage arrivals (staged
-    /// pipelines, [`crate::PipelineSpec`]) that queues behind such a
-    /// slot would otherwise never be re-dispatched — no event, no
-    /// wakeup. Spurious wakeups are harmless (`dispatch` on an empty or
-    /// blocked queue is a no-op), so this re-arms unconditionally.
-    pub(crate) fn rearm_slot_events(&mut self, probe: &mut PhaseProbe) {
-        for (i, backend) in self.backends.iter().enumerate() {
-            for &Reverse((free_us, _slot)) in backend.slot_heap.iter() {
-                self.heap
-                    .push(Reverse((free_us, EVENT_SLOT_FREE, i as u32)));
-                probe.on_push();
-            }
-        }
-    }
-
-    /// Processes pending timer events with `time < limit_us` (or
-    /// `<= limit_us` when `inclusive`).
-    fn run_timers(
+    /// The event loop [`run_epoch`](RegionMicrosim::run_epoch) and
+    /// [`flush`](RegionMicrosim::flush) share: serves the stage-1
+    /// `requests`, the chained arrivals and the timers in time order,
+    /// before `end_us`. Arrivals at an instant enqueue before its timers
+    /// run: a slot freed then is already visible through the slot heap,
+    /// and `dispatch` re-checks the linger deadline, so they board any
+    /// batch closing then. `u64::MAX` means "no arrival" and bounds the
+    /// flush; no event reaches it, as the build caps spans at
+    /// [`MAX_SPAN_US`].
+    fn advance(
         &mut self,
-        limit_us: u64,
-        inclusive: bool,
+        requests: &[OffloadRequest],
+        end_us: u64,
         out: &mut Vec<CompletedRequest>,
         region: u64,
         probe: &mut PhaseProbe,
     ) {
-        while let Some(&Reverse((time, kind, backend))) = self.heap.peek() {
-            if time > limit_us || (time == limit_us && !inclusive) {
-                break;
+        let mut touched = vec![false; self.backends.len()];
+        let mut i = 0;
+        loop {
+            let chained = self
+                .chained
+                .peek()
+                .map_or(u64::MAX, |c| c.0.request.arrival_us);
+            let mut now = requests
+                .get(i)
+                .map_or(u64::MAX, |r| r.arrival_us)
+                .min(chained);
+            while let Some(&Reverse((time, kind, backend))) = self.heap.peek() {
+                if time >= now.min(end_us) {
+                    break;
+                }
+                self.heap.pop();
+                probe.on_pop();
+                if kind == EVENT_LINGER {
+                    // The backend's one linger wakeup just fired;
+                    // `dispatch` re-arms if the batcher is still filling.
+                    debug_assert_eq!(self.backends[backend as usize].linger_event_us, time);
+                    self.backends[backend as usize].linger_event_us = u64::MAX;
+                }
+                self.dispatch(backend as usize, time, out, region, probe);
+                // The batch may have chained an earlier arrival.
+                if let Some(Reverse(c)) = self.chained.peek() {
+                    now = now.min(c.request.arrival_us);
+                }
             }
-            self.heap.pop();
-            probe.on_pop();
-            if kind == EVENT_LINGER {
-                // The backend's one pending linger wakeup just fired;
-                // `dispatch` re-arms if the batcher is still filling.
-                debug_assert_eq!(self.backends[backend as usize].linger_event_us, time);
-                self.backends[backend as usize].linger_event_us = u64::MAX;
+            if now >= end_us {
+                return;
             }
-            self.dispatch(backend as usize, time, out, region, probe);
+            touched.fill(false);
+            loop {
+                // Stream arrivals at `now` run up to the first chained key
+                // at `now`, then that chained arrival joins.
+                let first_chained = self
+                    .chained
+                    .peek()
+                    .map(|Reverse(c)| &c.request)
+                    .filter(|c| c.arrival_us == now)
+                    .map(|c| (c.device_id, c.stage));
+                while let Some(&request) = requests.get(i).filter(|r| {
+                    r.arrival_us == now && first_chained.is_none_or(|k| (r.device_id, r.stage) < k)
+                }) {
+                    i += 1;
+                    self.enqueue(request, now, &mut touched);
+                }
+                if first_chained.is_none() {
+                    break;
+                }
+                probe.on_pop();
+                let Reverse(next) = self.chained.pop().expect("a chained arrival was peeked");
+                self.enqueue(next.request, now, &mut touched);
+            }
+            for (backend, hit) in touched.iter().enumerate() {
+                if *hit {
+                    self.dispatch(backend, now, out, region, probe);
+                }
+            }
         }
+    }
+
+    /// Queues `request` at `now` on the least-work backend and marks it
+    /// for dispatch.
+    fn enqueue(&mut self, request: OffloadRequest, now: u64, touched: &mut [bool]) {
+        let backend = self.least_work_backend(now);
+        let queue = if request.high_priority {
+            &mut self.backends[backend].queue_high
+        } else {
+            &mut self.backends[backend].queue_low
+        };
+        queue.push_back(request);
+        touched[backend] = true;
     }
 
     /// The backend a new arrival joins: least work left, estimated as the
@@ -1710,8 +1804,10 @@ impl RegionMicrosim {
     /// Closes every batch `backend` can start at `now`: while a slot is
     /// free and the batcher is ready (`max_batch` waiting, or the oldest
     /// request has lingered out), assemble high-priority-first, occupy the
-    /// slot for the affine batch cost, and complete every member. If the
-    /// batcher is still filling, schedule the linger expiry instead.
+    /// slot for the affine batch cost, and complete every member —
+    /// chaining each one below the pipeline's last stage into its
+    /// successor's arrival. If the batcher is still filling, schedule the
+    /// linger expiry instead.
     fn dispatch(
         &mut self,
         backend: usize,
@@ -1721,6 +1817,7 @@ impl RegionMicrosim {
         probe: &mut PhaseProbe,
     ) {
         let config = &self.serving.backends[backend];
+        let pricing = self.pricing.as_ref();
         let linger_us = self.backends[backend].linger_us;
         loop {
             let state = &mut self.backends[backend];
@@ -1777,6 +1874,22 @@ impl RegionMicrosim {
                     sojourn_ms,
                     completion_us,
                 });
+                if let Some(pricing) = pricing.filter(|p| request.stage < p.depth) {
+                    let hop_us =
+                        pricing.hop_us(request.origin_region as usize, request.stage as usize - 1);
+                    let mut next = request;
+                    next.stage += 1;
+                    next.arrival_us = completion_us + hop_us;
+                    // The device pays this stage's sojourn plus the hop;
+                    // the terminal stage adds its own sojourn to the sum.
+                    next.base_latency_ms += sojourn_ms + hop_us as f64 / 1000.0;
+                    self.chained.push(Reverse(ChainedArrival {
+                        request: next,
+                        push: self.chain_pushes,
+                    }));
+                    self.chain_pushes += 1;
+                    probe.on_push();
+                }
             }
             self.heap
                 .push(Reverse((completion_us, EVENT_SLOT_FREE, backend as u32)));

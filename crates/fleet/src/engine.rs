@@ -421,7 +421,7 @@ impl FleetEngine {
     ) -> Result<(FleetReport, MetricsRegistry, EngineProfile), FleetError> {
         let scenario = &self.scenario;
         let (_, _, num_epochs) = self.clock();
-        let pricing = self.pipeline_pricing();
+        let pricing = scenario.pipeline_pricing();
         let regions = 0..scenario.regions.len();
         match scenario.fidelity {
             CloudSimFidelity::Fluid => {
@@ -534,14 +534,7 @@ impl FleetEngine {
             let shard_epochs: Vec<&ShardEpochOutput> =
                 shard_states.iter().map(|state| &state.epoch).collect();
             let mut outputs = run_barrier(&mut workers, parallel, |region, worker| {
-                worker.barrier(
-                    region,
-                    &shard_epochs,
-                    epoch_start,
-                    epoch_end,
-                    epoch + 1 == num_epochs,
-                    S::ENABLED,
-                )
+                worker.barrier(region, &shard_epochs, epoch_start, epoch_end, S::ENABLED)
             });
             flush_barrier_outputs::<S>(sink, &mut profile, &mut outputs, epoch_end, epoch as u64);
             for (signal, output) in signals.iter_mut().zip(&outputs) {
@@ -635,21 +628,6 @@ impl FleetEngine {
         let horizon_us = to_us(self.scenario.horizon.get());
         let epoch_us = to_us(self.scenario.trace_interval.get());
         (horizon_us, epoch_us, horizon_us.div_ceil(epoch_us) as usize)
-    }
-
-    /// Transfer prices for the scenario's staged pipeline, if it has one
-    /// that actually stages work (depth > 1): integer microseconds per
-    /// `(origin region, boundary)`, from each region's Table I uplink.
-    fn pipeline_pricing(&self) -> Option<PipelinePricing> {
-        self.scenario.staged_pipeline().map(|spec| {
-            let uplinks: Vec<Mbps> = self
-                .scenario
-                .regions
-                .iter()
-                .map(|share| share.region.uplink())
-                .collect();
-            PipelinePricing::new(spec, &uplinks)
-        })
     }
 
     /// Registers the per-region timelines sampled at every barrier, in

@@ -122,15 +122,14 @@
 //! with the activation transfer between consecutive stages priced in
 //! integer microseconds through `lens_wireless::TransferModel` on the
 //! origin region's uplink. The fluid tier charges per-stage queue waits
-//! and the summed transfers analytically; the per-request tier chains a
-//! stage-`k` completion at `t` into a stage-`k + 1` arrival at
-//! `t + transfer`, replayed **one epoch later at the same epoch
-//! offset** — the same one-epoch lag every contention signal carries —
-//! while the device is charged the stage's actual sojourn plus the
-//! transfer, never the replay shift. The chained requests extend (not
-//! replace) the merge key above with the stage number. A depth-1 spec
-//! is structurally the monolithic path, so pipelining costs nothing
-//! when unused.
+//! and the summed transfers analytically; in the per-request tier, a
+//! stage-`k` completion at `t` schedules the stage-`k + 1` arrival at
+//! `t + transfer` as an event of the region's microsim, served at that
+//! true time — in the same epoch, a later one, or the post-horizon
+//! flush — while the device is charged each stage's sojourn plus the
+//! transfer. The chained requests extend (not replace) the merge key
+//! above with the stage number. A depth-1 spec is structurally the
+//! monolithic path, so pipelining costs nothing when unused.
 //!
 //! # Examples
 //!

@@ -130,10 +130,7 @@ impl PipelinePricing {
             .collect();
         let total_ms = transfer_us
             .iter()
-            .map(|hops| {
-                let total_us: u64 = hops.iter().fold(0u64, |acc, &us| acc.saturating_add(us));
-                total_us as f64 / 1000.0
-            })
+            .map(|hops| total_us(hops) as f64 / 1000.0)
             .collect();
         PipelinePricing {
             depth: spec.depth() as u32,
@@ -147,6 +144,20 @@ impl PipelinePricing {
     pub(crate) fn hop_us(&self, origin: usize, boundary: usize) -> u64 {
         self.transfer_us[origin][boundary]
     }
+
+    /// The largest summed hop cost (µs) any origin region's requests pay.
+    pub(crate) fn max_total_us(&self) -> u64 {
+        self.transfer_us
+            .iter()
+            .map(|hops| total_us(hops))
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// One origin region's summed hop cost (µs), saturating at `u64::MAX`.
+fn total_us(hops: &[u64]) -> u64 {
+    hops.iter().fold(0u64, |acc, &us| acc.saturating_add(us))
 }
 
 #[cfg(test)]

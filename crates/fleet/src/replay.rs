@@ -12,8 +12,8 @@
 //! a [`RegionTier`], and the trait holds everything that differs:
 //! [`FluidRegionReplay`] admits merged offload counts and drains them as
 //! epoch aggregates, while [`PerRequestRegionReplay`] replays every
-//! offloaded request through its region's microsim, chains pipeline
-//! stages, and drains its backlog past the horizon.
+//! offloaded request through its region's microsim, books the pipeline
+//! stages the microsim chains, and drains its backlog past the horizon.
 //!
 //! Determinism holds by construction, not by luck:
 //!
@@ -24,10 +24,9 @@
 //!   runs that are already sorted by the shard-count-invariant
 //!   `(arrival_us, device_id, stage)` key ([`merge_requests`]),
 //!   reproducing the exact total order a global sort would produce.
-//!   Staged pipelines keep the discipline: chained stage arrivals are
-//!   spawned at the barrier from completions whose order is itself
-//!   shard-invariant, and joined to the next epoch's merge with a
-//!   stable sort on the same key.
+//!   Staged pipelines keep the discipline: the microsim chains each
+//!   stage from a completion of that shard-invariant replay and serves
+//!   it in the same key order, same-key ties in push order.
 //! * Telemetry is buffered per region inside [`RegionBarrierOutput`] and
 //!   flushed by the engine in fixed region order, phase-major, so the
 //!   event stream and phase counters are bit-identical to a sequential
@@ -113,14 +112,12 @@ pub(crate) trait RegionTier: Send {
     /// One epoch barrier for `region` over `[epoch_start, epoch_end)` µs:
     /// serve the shards' offloads, scale, publish — buffering per-phase
     /// telemetry when `traced` instead of writing to a shared sink.
-    /// `last` marks the horizon's final barrier.
     fn barrier(
         &mut self,
         region: usize,
         shards: &[&ShardEpochOutput],
         epoch_start: u64,
         epoch_end: u64,
-        last: bool,
         traced: bool,
     ) -> RegionBarrierOutput;
 
@@ -172,7 +169,6 @@ impl RegionTier for FluidRegionReplay {
         shards: &[&ShardEpochOutput],
         epoch_start: u64,
         epoch_end: u64,
-        _last: bool,
         traced: bool,
     ) -> RegionBarrierOutput {
         let epoch_ms = (epoch_end - epoch_start) as f64 / 1000.0;
@@ -235,20 +231,6 @@ pub(crate) struct PerRequestRegionReplay {
     depth_series: Vec<f64>,
     merged: Vec<OffloadRequest>,
     completions: Vec<CompletedRequest>,
-    /// Staged-pipeline transfer prices; `None` for monolithic scenarios,
-    /// which keeps every pipeline branch below off the hot path.
-    pricing: Option<PipelinePricing>,
-    /// Chained stage arrivals spawned at a barrier but not yet served:
-    /// a stage-`k` completion at `t` chains into a stage-`k+1` arrival
-    /// at `t + transfer`, **replayed one epoch later at the same epoch
-    /// offset** — the same one-epoch lag every contention signal
-    /// already carries. Shifting (instead of clamping to the barrier)
-    /// keeps the admitted stamps monotone with the previous epoch's
-    /// queue leftovers and preserves the arrival spread the batchers
-    /// see. Latency accounting is lag-free either way: the device is
-    /// charged the stage's actual sojourn plus the transfer, never the
-    /// replay shift.
-    pending: Vec<OffloadRequest>,
 }
 
 impl PerRequestRegionReplay {
@@ -259,122 +241,64 @@ impl PerRequestRegionReplay {
         pricing: Option<PipelinePricing>,
     ) -> Self {
         PerRequestRegionReplay {
-            sim: RegionMicrosim::new(serving),
+            sim: RegionMicrosim::new(serving).with_pipeline(pricing),
             report: empty_report.clone(),
             depth_series: Vec::with_capacity(num_epochs),
             merged: Vec::new(),
             completions: Vec::new(),
-            pricing,
-            pending: Vec::new(),
         }
     }
 
-    /// Books the batch in `self.completions`: monolithic completions go
-    /// straight to the deferred device records; staged completions feed
-    /// the per-stage ledger, then either spawn the next stage's arrival
-    /// at `max(completion + transfer + shift_us, floor_us)` (the hop
-    /// priced on the **origin** region's uplink; the shift is one epoch
-    /// length at a barrier, the floor is the horizon end at the final
-    /// barrier, and both are zero in the flush) or — at the terminal
-    /// stage — finish the device record with the accumulated
-    /// end-to-end latency.
-    fn absorb_completions(
-        &mut self,
-        region: usize,
-        shift_us: u64,
-        floor_us: u64,
-        probe: &mut PhaseProbe,
-    ) {
-        let Some(pricing) = &self.pricing else {
-            record_completions(&mut self.report, region, &self.completions);
-            return;
-        };
-        let depth = pricing.depth;
-        let completions = std::mem::take(&mut self.completions);
-        for c in &completions {
-            self.report
-                .record_stage_completion(c.request.stage, Some(c.sojourn_ms));
-            if c.request.stage < depth {
-                let boundary = (c.request.stage - 1) as usize;
-                let transfer_us = pricing.hop_us(c.request.origin_region as usize, boundary);
-                let mut next = c.request;
-                next.stage += 1;
-                // Charge the device what the hop actually cost — this
-                // stage's sojourn plus the transfer, never the replay
-                // shift. The increments accumulate, so the terminal
-                // record's `base_latency_ms + sojourn_ms` is the exact
-                // end-to-end latency.
-                next.base_latency_ms += c.sojourn_ms + transfer_us as f64 / 1000.0;
-                next.arrival_us = c
-                    .completion_us
-                    .saturating_add(transfer_us)
-                    .saturating_add(shift_us)
-                    .max(floor_us);
-                self.report.record_transfer_ms(transfer_us as f64 / 1000.0);
-                probe.emit(TraceEvent::StageTransition {
-                    time_us: c.completion_us,
-                    device_id: c.request.device_id,
-                    region: region as u64,
-                    from_stage: u64::from(c.request.stage),
-                    to_stage: u64::from(next.stage),
-                    transfer_us,
-                });
-                self.pending.push(next);
-            } else {
-                record_completion(&mut self.report, region, c);
+    /// Books the batch in `self.completions`. Under a staged pipeline
+    /// each completion feeds the per-stage ledger, and one below the last
+    /// stage books the hop the microsim already chained — its transfer
+    /// and a [`TraceEvent::StageTransition`], priced on the **origin**
+    /// region's uplink. Every terminal completion finishes its deferred
+    /// device record.
+    fn absorb_completions(&mut self, region: usize, probe: &mut PhaseProbe) {
+        let pricing = self.sim.pipeline();
+        for c in &self.completions {
+            let stage = c.request.stage;
+            if let Some(pricing) = pricing {
+                self.report
+                    .record_stage_completion(stage, Some(c.sojourn_ms));
+                if stage < pricing.depth {
+                    let transfer_us =
+                        pricing.hop_us(c.request.origin_region as usize, stage as usize - 1);
+                    self.report.record_transfer_ms(transfer_us as f64 / 1000.0);
+                    probe.emit(TraceEvent::StageTransition {
+                        time_us: c.completion_us,
+                        device_id: c.request.device_id,
+                        region: region as u64,
+                        from_stage: u64::from(stage),
+                        to_stage: u64::from(stage + 1),
+                        transfer_us,
+                    });
+                    continue;
+                }
             }
+            record_completion(&mut self.report, region, c);
         }
-        self.completions = completions;
     }
 }
 
 impl RegionTier for PerRequestRegionReplay {
     const PER_REQUEST: bool = true;
 
-    /// K-way merges the shards' request runs (joining any chained stage
-    /// arrivals that came due), replays them through the microsim,
-    /// records the completions — spawning next-stage arrivals for staged
-    /// pipelines — scales, and publishes the (hysteresis-held) tail
-    /// signal.
-    ///
-    /// Chains spawned at the `last` barrier have no later barrier to
-    /// shift into, so their stamps clamp to the horizon end instead —
-    /// right where the post-horizon flush picks them up, keeping the
-    /// flush waves' timeline monotone.
+    /// K-way merges the shards' request runs, replays them through the
+    /// microsim — which chains staged pipelines' next stages as its own
+    /// arrivals — records the completions, scales, and publishes the
+    /// (hysteresis-held) tail signal.
     fn barrier(
         &mut self,
         region: usize,
         shards: &[&ShardEpochOutput],
         epoch_start: u64,
         epoch_end: u64,
-        last: bool,
         traced: bool,
     ) -> RegionBarrierOutput {
         merge_requests(shards, region, &mut self.merged);
         let mut probe = PhaseProbe::new(traced);
-        if !self.pending.is_empty() {
-            // Pull due chained stages into this epoch's batch. The
-            // stable sort keeps completion order for the (rare) ties
-            // where two same-device requests finish in the same batch
-            // and chain to identical next-stage arrivals — completion
-            // order is shard-invariant, so the batch order stays
-            // shard-invariant too.
-            let mut later = Vec::new();
-            let mut due = false;
-            for request in self.pending.drain(..) {
-                if request.arrival_us < epoch_end {
-                    self.merged.push(request);
-                    due = true;
-                } else {
-                    later.push(request);
-                }
-            }
-            self.pending = later;
-            if due {
-                self.merged
-                    .sort_by_key(|r| (r.arrival_us, r.device_id, r.stage));
-            }
-        }
         probe.on_merged(self.merged.len() as u64);
         self.completions.clear();
         self.sim.run_epoch(
@@ -384,12 +308,7 @@ impl RegionTier for PerRequestRegionReplay {
             region as u64,
             &mut probe,
         );
-        let (shift_us, floor_us) = if last {
-            (0, epoch_end)
-        } else {
-            (epoch_end - epoch_start, 0)
-        };
-        self.absorb_completions(region, shift_us, floor_us, &mut probe);
+        self.absorb_completions(region, &mut probe);
         self.depth_series.push(self.sim.depth());
         let drain = probe.take();
         self.sim.scale(
@@ -406,41 +325,14 @@ impl RegionTier for PerRequestRegionReplay {
         }
     }
 
-    /// Post-horizon drain: the cloud keeps serving until every admitted
-    /// request completes. Runs sequentially on the engine thread (it is
-    /// one final sweep, not per-epoch work). Staged pipelines drain in
-    /// **waves**: each flush can spawn next-stage arrivals, which are
-    /// replayed as a fresh batch and flushed again until no stage is
-    /// left in flight — at most `depth - 1` extra waves, since stage
-    /// numbers only climb.
+    /// Post-horizon drain: the cloud keeps serving, chained stages
+    /// included, until every admitted request completes. Runs
+    /// sequentially on the engine thread (it is one final sweep, not
+    /// per-epoch work).
     fn flush(&mut self, region: usize, probe: &mut PhaseProbe) {
-        loop {
-            self.completions.clear();
-            self.sim.flush(&mut self.completions, region as u64, probe);
-            self.absorb_completions(region, 0, 0, probe);
-            if self.pending.is_empty() {
-                return;
-            }
-            self.merged.clear();
-            self.merged.append(&mut self.pending);
-            self.merged
-                .sort_by_key(|r| (r.arrival_us, r.device_id, r.stage));
-            let wave_end = self.merged.last().map_or(0, |r| r.arrival_us) + 1;
-            self.completions.clear();
-            // The flush above popped every pending event, but executors
-            // may still be occupied into the future — re-arm their
-            // slot-free wakeups or wave arrivals queued behind them
-            // would never re-dispatch.
-            self.sim.rearm_slot_events(probe);
-            self.sim.run_epoch(
-                &self.merged,
-                wave_end,
-                &mut self.completions,
-                region as u64,
-                probe,
-            );
-            self.absorb_completions(region, 0, 0, probe);
-        }
+        self.completions.clear();
+        self.sim.flush(&mut self.completions, region as u64, probe);
+        self.absorb_completions(region, probe);
     }
 
     fn depth(&self) -> f64 {
@@ -469,10 +361,9 @@ impl RegionTier for PerRequestRegionReplay {
 /// runs. Each run is already sorted by `(arrival_us, device_id, stage)`
 /// — shard events pop in `(time, local)` order, a shard's device ids
 /// are a contiguous ascending range, and shards only ever emit stage 1
-/// — and the key is unique fleet-wide, so the merge reproduces exactly
-/// the total order the old global `sort_unstable_by_key` produced, in
-/// O(total · shards) with no comparison sort and no allocation after
-/// warm-up.
+/// — and the key is unique fleet-wide, so the merge yields the one
+/// total order on that key, in O(total · shards) with no comparison
+/// sort and no allocation after warm-up.
 pub(crate) fn merge_requests(
     shards: &[&ShardEpochOutput],
     region: usize,
@@ -511,30 +402,12 @@ pub(crate) fn merge_requests(
     }
 }
 
-/// Records a batch of microsim completions: each finishes its deferred
-/// device record (end-to-end latency = device-side latency + exact cloud
-/// sojourn). The sojourn histograms are *not* touched here — the microsim
-/// records each completion once into its backend's epoch window and the
-/// barrier folds those windows into the cumulative histograms.
-pub(crate) fn record_completions(
-    report: &mut FleetReport,
-    serving_region: usize,
-    completions: &[CompletedRequest],
-) {
-    for c in completions {
-        record_completion(report, serving_region, c);
-    }
-}
-
 /// Records one terminal completion's deferred device record. For staged
 /// pipelines `base_latency_ms` has already absorbed every earlier
 /// stage's sojourn and transfer, so the same formula is exact in both
-/// the monolithic and the staged case.
-pub(crate) fn record_completion(
-    report: &mut FleetReport,
-    serving_region: usize,
-    c: &CompletedRequest,
-) {
+/// the monolithic and the staged case. The sojourn histograms are not
+/// touched: the microsim records each completion once.
+fn record_completion(report: &mut FleetReport, serving_region: usize, c: &CompletedRequest) {
     let request = &c.request;
     let served = Served {
         latency_ms: request.base_latency_ms + c.sojourn_ms,
@@ -552,4 +425,127 @@ pub(crate) fn record_completion(
         retreated: false,
     };
     report.record(request.origin_region as usize, &served);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cloud::BackendConfig;
+    use crate::pipeline::PipelineSpec;
+    use lens_nn::units::Mbps;
+
+    const EPOCH_US: u64 = 1_000_000;
+
+    fn request(arrival_us: u64, device_id: u64, energy_mj: f64) -> OffloadRequest {
+        OffloadRequest {
+            arrival_us,
+            device_id,
+            stage: 1,
+            high_priority: false,
+            origin_region: 0,
+            failed_over: false,
+            base_latency_ms: 0.0,
+            energy_mj,
+            switched: false,
+        }
+    }
+
+    /// Runs one barrier over epoch `epoch` with `requests` as its only
+    /// shard's run, and hands back the barrier's completions.
+    fn barrier(
+        worker: &mut PerRequestRegionReplay,
+        epoch: u64,
+        requests: Vec<OffloadRequest>,
+    ) -> Vec<CompletedRequest> {
+        let shard = ShardEpochOutput {
+            arrivals: vec![(0, 0)],
+            requests: vec![requests],
+            events: Vec::new(),
+            counters: Default::default(),
+        };
+        worker.barrier(
+            0,
+            &[&shard],
+            epoch * EPOCH_US,
+            (epoch + 1) * EPOCH_US,
+            false,
+        );
+        worker.completions.clone()
+    }
+
+    /// `device`'s completions, in completion order.
+    fn of(device: u64, done: &[CompletedRequest]) -> Vec<CompletedRequest> {
+        done.iter()
+            .filter(|c| c.request.device_id == device)
+            .copied()
+            .collect()
+    }
+
+    #[test]
+    fn pipeline_stages_chain_inside_the_barrier_at_their_true_times() {
+        // An idle tier: one executor, 10 ms batches of up to two, 5 ms
+        // linger. At 8 Mbps a byte costs 1 µs, so the hops are 50 ms and
+        // 20 ms.
+        let serving = CloudServing::new(vec![
+            BackendConfig::new("gpu", 1, 10.0, 0.0).with_batching(2, 5.0)
+        ]);
+        let spec = PipelineSpec::new(vec![50_000, 20_000]);
+        let pricing = PipelinePricing::new(&spec, &[Mbps::new(8.0)]);
+        let hops = [pricing.hop_us(0, 0), pricing.hop_us(0, 1)];
+        assert_eq!(hops, [50_000, 20_000]);
+        let empty = FleetReport::empty(10.0, 5.0, 100, &["r".to_string()]);
+        let mut worker = PerRequestRegionReplay::new(&serving, &empty, 2, Some(pricing));
+
+        // Device 1 arrives early; device 3 sends two requests that close
+        // in one batch; device 2's first hop lands past the barrier.
+        let first = barrier(
+            &mut worker,
+            0,
+            vec![
+                request(1_000, 1, 0.0),
+                request(500_000, 3, 1.0),
+                request(501_000, 3, 2.0),
+                request(960_000, 2, 0.0),
+            ],
+        );
+
+        let early = of(1, &first);
+        assert_eq!(
+            early.iter().map(|c| c.request.stage).collect::<Vec<_>>(),
+            [1, 2, 3],
+            "all three stages complete within the first barrier"
+        );
+        for (k, pair) in early.windows(2).enumerate() {
+            assert_eq!(pair[1].request.arrival_us, pair[0].completion_us + hops[k]);
+        }
+
+        let same_batch = of(3, &first);
+        let order: Vec<(u32, f64)> = same_batch
+            .iter()
+            .map(|c| (c.request.stage, c.request.energy_mj))
+            .collect();
+        assert_eq!(
+            order,
+            [(1, 1.0), (1, 2.0), (2, 1.0), (2, 2.0), (3, 1.0), (3, 2.0)],
+            "same-key hops chain in their batch's FIFO order"
+        );
+        assert_eq!(same_batch[0].completion_us, same_batch[1].completion_us);
+
+        let late = of(2, &first);
+        assert_eq!(late.len(), 1, "only stage 1 finishes before the barrier");
+        let hop_lands_us = late[0].completion_us + hops[0];
+        assert!(hop_lands_us >= EPOCH_US);
+
+        let second = of(2, &barrier(&mut worker, 1, Vec::new()));
+        assert_eq!(
+            second.iter().map(|c| c.request.stage).collect::<Vec<_>>(),
+            [2, 3]
+        );
+        assert_eq!(second[0].request.arrival_us, hop_lands_us);
+        assert_eq!(
+            second[1].request.arrival_us,
+            second[0].completion_us + hops[1]
+        );
+        assert_eq!(worker.report.stage_completions(), &[4, 4, 4]);
+    }
 }

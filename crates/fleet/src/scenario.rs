@@ -7,8 +7,8 @@
 //! engines given the same scenario produce the same [`crate::FleetReport`]
 //! (see the crate-level determinism contract).
 
-use crate::cloud::{CloudServing, CloudSimFidelity};
-use crate::pipeline::PipelineSpec;
+use crate::cloud::{CloudServing, CloudSimFidelity, MAX_SPAN_US};
+use crate::pipeline::{PipelinePricing, PipelineSpec};
 use crate::FleetError;
 use lens_device::DeviceProfile;
 use lens_nn::units::{Mbps, Millis};
@@ -422,6 +422,20 @@ impl FleetScenario {
         self.pipeline.as_ref().filter(|p| p.is_staged())
     }
 
+    /// Transfer prices for the scenario's staged pipeline, if it has one
+    /// that actually stages work (depth > 1): integer microseconds per
+    /// `(origin region, boundary)`, from each region's Table I uplink.
+    pub(crate) fn pipeline_pricing(&self) -> Option<PipelinePricing> {
+        self.staged_pipeline().map(|spec| {
+            let uplinks: Vec<Mbps> = self
+                .regions
+                .iter()
+                .map(|share| share.region.uplink())
+                .collect();
+            PipelinePricing::new(spec, &uplinks)
+        })
+    }
+
     /// Expected number of inference events the whole fleet generates.
     pub fn expected_events(&self) -> u64 {
         let per_device = self.horizon.get() / self.arrival.mean_period_ms();
@@ -698,7 +712,7 @@ impl FleetScenarioBuilder {
                 return invalid(&why);
             }
         }
-        Ok(FleetScenario {
+        let scenario = FleetScenario {
             population: self.population,
             regions: self.regions,
             horizon: self.horizon,
@@ -718,7 +732,14 @@ impl FleetScenarioBuilder {
             tail_deadline: self.tail_deadline,
             replay: self.replay,
             pipeline: self.pipeline,
-        })
+        };
+        // A chained stage arrives one hop after its predecessor
+        // completes, so a request's summed hops must fit the µs clock.
+        let pricing = scenario.pipeline_pricing();
+        if pricing.is_some_and(|p| p.max_total_us() > MAX_SPAN_US) {
+            return invalid("pipeline transfers must sum to at most 2^53 µs on every uplink");
+        }
+        Ok(scenario)
     }
 }
 
@@ -805,7 +826,7 @@ mod tests {
 
     #[test]
     fn bad_linger_ms_is_rejected_at_build() {
-        for bad in [f64::NAN, -5.0] {
+        for bad in [f64::NAN, -5.0, 1e300] {
             assert_tier_rejected(|s| s.backends[0].batching.linger_ms = bad, "linger_ms");
         }
     }
@@ -817,6 +838,21 @@ mod tests {
             assert_tier_rejected(
                 |s| s.discipline = QueueDiscipline::Priority { high_fraction: bad },
                 "high_fraction",
+            );
+        }
+    }
+
+    #[test]
+    fn clock_overflowing_batch_service_is_rejected_at_build() {
+        // Finite in ms, yet past the µs clock: outright, or only once the
+        // batcher fills all eight items.
+        for (base, per_item) in [(1e300, 1.0), (32.0, 2e12)] {
+            assert_tier_rejected(
+                |s| {
+                    s.backends[0].base_service_ms = base;
+                    s.backends[0].per_item_ms = per_item;
+                },
+                "full-batch service time",
             );
         }
     }
@@ -1082,6 +1118,20 @@ mod tests {
             .unwrap_err();
         match err {
             FleetError::InvalidScenario(why) => assert!(why.contains("depth"), "{why}"),
+            other => panic!("expected InvalidScenario, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn clock_overflowing_pipeline_hops_are_rejected_at_build() {
+        let err = FleetScenario::builder()
+            .pipeline(PipelineSpec::new(vec![u64::MAX / 4]))
+            .build()
+            .unwrap_err();
+        match err {
+            FleetError::InvalidScenario(why) => {
+                assert!(why.contains("pipeline transfers"), "{why}")
+            }
             other => panic!("expected InvalidScenario, got {other:?}"),
         }
     }

@@ -664,9 +664,9 @@ const GOLDEN_DIGESTS: [(&str, u64, u64, u64); 8] = [
     ),
     (
         "per_request_pipeline",
-        0x7728795315499373,
-        0xa0571289086a84f1,
-        0x02656cc41e14d5e7,
+        0x33cef77c97e707f0,
+        0xff4a305921e4c862,
+        0xe1763ab856bf2225,
     ),
     (
         "per_request_poisson_autoscaled",
@@ -676,9 +676,9 @@ const GOLDEN_DIGESTS: [(&str, u64, u64, u64); 8] = [
     ),
     (
         "per_request_closed_loop",
-        0x438797742d7497e8,
-        0x27aa5531324ff39c,
-        0xceaef8d0fd4bf3cc,
+        0x39ed9d5eebb79b07,
+        0xa08134c80da392e2,
+        0x6de9ebe4cae3ad7d,
     ),
 ];
 

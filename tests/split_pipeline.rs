@@ -58,8 +58,8 @@ fn three_stage() -> PipelineSpec {
 fn every_admitted_stage_completes_stage_conservation() {
     // Conservation: each offload becomes exactly `depth` stage requests
     // — stage 1 at the device's arrival, stages 2.. chained from
-    // completions — and the post-horizon flush waves drain every chain.
-    // So each stage's completion count must equal the offload count, in
+    // completions — and the post-horizon flush drains every chain. So
+    // each stage's completion count must equal the offload count, in
     // both fidelities.
     for fidelity in [CloudSimFidelity::Fluid, CloudSimFidelity::PerRequest] {
         let report = run(staged_scenario(
@@ -102,9 +102,9 @@ fn every_admitted_stage_completes_stage_conservation() {
 
 #[test]
 fn staged_report_is_bit_identical_across_1_2_4_shards() {
-    // The shard-invariance pin extended to pipelined runs: chained stage
-    // arrivals are spawned barrier-side from completions whose order is
-    // already shard-invariant, and merge on the
+    // The shard-invariance pin extended to pipelined runs: each region's
+    // microsim chains stage arrivals from completions whose order is
+    // already shard-invariant, and serves them on the
     // (arrival_us, device_id, stage) key — so the report, stage ledger
     // and transfer totals included, cannot depend on sharding.
     for fidelity in [CloudSimFidelity::Fluid, CloudSimFidelity::PerRequest] {
@@ -133,9 +133,9 @@ fn staged_report_is_bit_identical_across_1_2_4_shards() {
 
 #[test]
 fn staged_parallel_replay_is_bit_identical_to_sequential() {
-    // Pipelining adds barrier-side work (stage chaining) to the replay
-    // workers; it must stay region-local so fanning the workers out over
-    // threads cannot change a bit of the output.
+    // Stage chaining runs inside each region's microsim; it must stay
+    // region-local so fanning the replay workers out over threads cannot
+    // change a bit of the output.
     for fidelity in [CloudSimFidelity::Fluid, CloudSimFidelity::PerRequest] {
         let sequential = run(staged_scenario(
             2,

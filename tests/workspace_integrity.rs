@@ -870,7 +870,7 @@ fn staged_pipeline_surface_is_pinned() {
         "TransferModel",
         "PipelineSpec",
         "(arrival_us, device_id, stage)",
-        "one epoch later at the same epoch offset",
+        "schedules its successor as an arrival at `completion_us + transfer`",
         "split_pipeline",
     ] {
         assert!(
