@@ -146,3 +146,60 @@ fn lte_and_threeg_configurations_run() {
         assert_eq!(outcome.explored().len(), 5);
     }
 }
+
+/// FNV-1a over every explored candidate, in exploration order: its genes,
+/// then the bits of its three objectives.
+fn search_digest(outcome: &SearchOutcome) -> u64 {
+    let mut hash = lens::telemetry::Fnv64::new();
+    for candidate in outcome.explored() {
+        for &gene in candidate.encoding.genes() {
+            hash.write_u64(gene as u64);
+        }
+        for objective in candidate.objectives.to_vec() {
+            hash.write_u64(objective.to_bits());
+        }
+    }
+    hash.finish()
+}
+
+/// `(seed, LENS digest, Traditional digest)`, recorded on x86_64 Linux.
+const GOLDEN_SEARCH_DIGESTS: [(u64, u64, u64); 2] = [
+    (1, 0x3639e27ba6ba3d09, 0x193f62481dcd561b),
+    (7, 0xf77bcf5638969bd0, 0x8495c50ab4d8aa5c),
+];
+
+/// Absolute search pins. `full_pipeline_reproducible_end_to_end` only
+/// compares a search with itself, so a change that moved every pick the
+/// same way would pass it; these values catch it. Both searches run the
+/// paper's defaults (trained predictors, the default MOBO settings) at
+/// 20 + 40 iterations, so each crosses ML-II refits and the factor growth
+/// between them. Gated to the platform they were recorded on; a mismatch
+/// prints every actual value in the table's own syntax.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+#[test]
+fn golden_search_digests_are_unchanged() {
+    let actual: Vec<(u64, u64, u64)> = GOLDEN_SEARCH_DIGESTS
+        .iter()
+        .map(|&(seed, _, _)| {
+            let lens = Lens::builder()
+                .initial_samples(20)
+                .iterations(40)
+                .seed(seed)
+                .build()
+                .expect("lens builds");
+            let paired = lens.search().expect("lens search");
+            let traditional = lens.traditional_search().expect("traditional search");
+            (seed, search_digest(&paired), search_digest(&traditional))
+        })
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(seed, paired, traditional)| {
+            format!("    ({seed}, {paired:#018x}, {traditional:#018x}),\n")
+        })
+        .collect();
+    assert!(
+        actual == GOLDEN_SEARCH_DIGESTS,
+        "golden search digests moved; the actual values are:\n{table}"
+    );
+}
