@@ -50,7 +50,7 @@
 //! that trace nothing pass [`PhaseProbe::disabled`].
 
 use crate::pipeline::PipelinePricing;
-use crate::report::Histogram;
+use crate::report::{BackendReport, Histogram};
 use lens_telemetry::{PhaseProbe, TraceEvent};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -493,13 +493,6 @@ impl BackendConfig {
         b / self.batch_service_ms(b)
     }
 
-    /// Jobs per millisecond this pool completes at its **configured**
-    /// slot count when every batch closes full — the backend's peak
-    /// throughput before any autoscaling.
-    pub fn full_batch_rate_per_ms(&self) -> f64 {
-        self.slots as f64 * self.full_batch_rate_per_slot_ms()
-    }
-
     /// The cost-aware dispatch weight: price × energy, with unpriced
     /// (zero) components treated as a neutral 1 — so an unpriced tier
     /// under [`DispatchPolicy::CostAware`] degenerates to plain
@@ -800,7 +793,7 @@ struct BackendQueue {
     /// Slot count during each served epoch, recorded at the barrier.
     slot_timeline: Vec<u32>,
     /// Applied scaling events (up or down).
-    scale_events: u64,
+    scaling_events: u64,
 }
 
 /// How many bins backend batch-size histograms carry (width 1.0 — batch
@@ -812,42 +805,6 @@ const BATCH_HIST_BINS: usize = 1_024;
 pub(crate) const SOJOURN_BIN_MS: f64 = 10.0;
 /// Bins in per-request sojourn histograms (overflow beyond 20 s).
 pub(crate) const SOJOURN_BINS: usize = 2_000;
-
-/// Cumulative serving stats for one backend, as accumulated across a
-/// run's epoch barriers ([`RegionServing::backend_stats`]); the engine
-/// stamps these with the region name and horizon-normalized utilization
-/// to form the report's `BackendReport`s.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BackendStats {
-    /// Backend name from the serving tier.
-    pub name: String,
-    /// Configured executor slots (the initial count under autoscaling;
-    /// see `slot_timeline` for the live trajectory).
-    pub slots: usize,
-    /// Jobs completed (fluid count).
-    pub served_jobs: f64,
-    /// Batches closed (fluid count).
-    pub batches: f64,
-    /// Per-slot busy time accumulated over the run (ms).
-    pub busy_ms: f64,
-    /// Distribution of closed batch sizes (width-1 bins).
-    pub batch_sizes: Histogram,
-    /// Per-request cloud sojourn times (arrival → completion, ms). Only
-    /// the per-request microsimulation populates this; the fluid tier
-    /// leaves it empty (fluid epochs have no per-request times).
-    pub sojourn_ms: Histogram,
-    /// Slot count during each served epoch (constant without an
-    /// autoscaler).
-    pub slot_timeline: Vec<u32>,
-    /// Applied autoscaling events over the run.
-    pub scale_events: u64,
-    /// Provisioned cost, exact in fixed-point micro-units:
-    /// `Σ_epochs slots · price_per_slot_epoch`.
-    pub cost_fp: i128,
-    /// Cloud-side energy over the run (mJ):
-    /// `served jobs · energy_per_job_mj`.
-    pub cloud_energy_mj: f64,
-}
 
 /// One region's deterministic serving-tier state: per-backend fluid queues
 /// fed by least-work-left dispatch, drained at batch-amortized rates, with
@@ -891,7 +848,7 @@ impl RegionServing {
                 busy_ms: 0.0,
                 batch_sizes: Histogram::new(1.0, BATCH_HIST_BINS),
                 slot_timeline: Vec::new(),
-                scale_events: 0,
+                scaling_events: 0,
             })
             .collect();
         RegionServing {
@@ -899,11 +856,6 @@ impl RegionServing {
             queues,
             shed_fraction: 0.0,
         }
-    }
-
-    /// The serving-tier template this region runs.
-    pub fn serving(&self) -> &CloudServing {
-        &self.serving
     }
 
     /// Admits one epoch's offloaded inferences (split by priority class)
@@ -1132,7 +1084,7 @@ impl RegionServing {
                     queue.rate_per_ms *= target as f64 / queue.slots_live as f64;
                     queue.slots_live = target;
                     auto.arm(&mut queue.scaler);
-                    queue.scale_events += 1;
+                    queue.scaling_events += 1;
                 }
             }
             queue.epoch_busy_ms = 0.0;
@@ -1224,22 +1176,27 @@ impl RegionServing {
             .expect("tier has at least one backend")
     }
 
-    /// Per-backend cumulative stats, in backend order.
-    pub fn backend_stats(&self) -> Vec<BackendStats> {
+    /// The report's per-backend lines for the region named `region`, in
+    /// backend order, with utilization taken over `horizon_ms`. Fluid
+    /// epochs have no per-request times, so every sojourn histogram is
+    /// empty.
+    pub fn backend_reports(&self, region: &str, horizon_ms: f64) -> Vec<BackendReport> {
         self.serving
             .backends
             .iter()
             .zip(&self.queues)
-            .map(|(b, q)| BackendStats {
-                name: b.name.clone(),
+            .map(|(b, q)| BackendReport {
+                region: region.to_string(),
+                backend: b.name.clone(),
                 slots: b.slots,
                 served_jobs: q.served_jobs,
                 batches: q.batches,
                 busy_ms: q.busy_ms,
+                utilization: q.busy_ms / horizon_ms,
                 batch_sizes: q.batch_sizes.clone(),
                 sojourn_ms: Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
                 slot_timeline: q.slot_timeline.clone(),
-                scale_events: q.scale_events,
+                scaling_events: q.scaling_events,
                 cost_fp: provision_cost_fp(&q.slot_timeline, b.price_per_slot_epoch),
                 cloud_energy_mj: q.served_jobs * b.energy_per_job_mj,
             })
@@ -1391,18 +1348,18 @@ struct MicroBackend {
     /// `busy_us` as of the previous barrier — the delta is the epoch's
     /// utilization observation.
     busy_us_at_barrier: u64,
-    // Cumulative serving stats.
-    served_requests: u64,
-    batches: u64,
+    // Cumulative serving stats: the batch-size count is the batches
+    // closed, the sojourn count (both windows) the requests served.
     /// Total executor-occupied time across all slots (µs).
     busy_us: u64,
     batch_sizes: Histogram,
     sojourn_ms: Histogram,
     /// Sojourns completed since the last barrier — the epoch-windowed tail
-    /// the [`ScalingSignal::TailLatency`] autoscaler observes, and the
-    /// *only* histogram the dispatch hot loop records into; the barrier
-    /// folds it into the cumulative and region-level views, then resets
-    /// it (the `busy_us_at_barrier` idiom for histograms).
+    /// the [`ScalingSignal::TailLatency`] autoscaler observes and the
+    /// region's published p99 merges, and the *only* histogram the
+    /// dispatch hot loop records into; the barrier folds it into the
+    /// cumulative `sojourn_ms`, then resets it (the `busy_us_at_barrier`
+    /// idiom for histograms).
     epoch_sojourn: Histogram,
     /// [`BackendConfig::full_batch_rate_per_slot_ms`], cached — the value
     /// is a pure function of the static config, and the per-arrival
@@ -1423,7 +1380,7 @@ struct MicroBackend {
     /// Slot count during each served epoch, recorded at the barrier.
     slot_timeline: Vec<u32>,
     /// Applied scaling events (up or down).
-    scale_events: u64,
+    scaling_events: u64,
 }
 
 impl MicroBackend {
@@ -1530,12 +1487,6 @@ pub struct RegionMicrosim {
     /// epoch-windowed p99 [`barrier_signal`](RegionMicrosim::barrier_signal)
     /// publishes on [`RegionSignal::p99_ms`], reset after each publish.
     epoch_sojourn: Histogram,
-    /// Cumulative region-level sojourns — the fold of every barrier's
-    /// epoch window (plus the post-horizon flush), bit-identical to
-    /// recording each completion directly and what
-    /// [`FleetReport::region_tail`](crate::report::FleetReport::region_tail)
-    /// ultimately exposes.
-    region_sojourn: Histogram,
     /// The last *measured* epoch p99, held across idle epochs so a tier
     /// that completed nothing (a fully shed or fully retreated epoch)
     /// keeps publishing its last observation instead of dropping to "no
@@ -1565,14 +1516,12 @@ impl RegionMicrosim {
                 next_slot_id: b.slots as u32,
                 scaler: ScalerState::default(),
                 busy_us_at_barrier: 0,
-                served_requests: 0,
-                batches: 0,
                 busy_us: 0,
                 batch_sizes: Histogram::new(1.0, BATCH_HIST_BINS),
                 sojourn_ms: Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
                 epoch_sojourn: Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
                 slot_timeline: Vec::new(),
-                scale_events: 0,
+                scaling_events: 0,
                 rate_per_slot_ms: b.full_batch_rate_per_slot_ms(),
                 linger_us: (b.batching.linger_ms * 1000.0).round() as u64,
                 linger_event_us: u64::MAX,
@@ -1587,29 +1536,18 @@ impl RegionMicrosim {
             chain_pushes: 0,
             shed_fraction: 0.0,
             epoch_sojourn: Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
-            region_sojourn: Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
             held_p99_ms: None,
         }
     }
 
-    /// The cumulative region-level per-request sojourn distribution, as
-    /// of the last barrier (or flush). The engine folds this into the
-    /// report's `cloud_sojourn` slot at the end of a run.
-    pub fn region_sojourn(&self) -> &Histogram {
-        &self.region_sojourn
-    }
-
-    /// Consumes the region-level sojourn histogram (end of run).
-    pub fn take_region_sojourn(&mut self) -> Histogram {
-        std::mem::replace(
-            &mut self.region_sojourn,
-            Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
-        )
-    }
-
-    /// The serving-tier template this region runs.
-    pub fn serving(&self) -> &CloudServing {
-        &self.serving
+    /// The region's cumulative per-request sojourns as of the last
+    /// barrier (or flush): the merge of its backends' histograms.
+    pub(crate) fn sojourn_ms(&self) -> Histogram {
+        let mut region = Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS);
+        for backend in &self.backends {
+            region.merge(&backend.sojourn_ms);
+        }
+        region
     }
 
     /// Chains every completion below the pipeline's last stage into its
@@ -1662,14 +1600,8 @@ impl RegionMicrosim {
         self.advance(&[], u64::MAX, out, region, probe);
         // Fold the post-horizon completions into the cumulative
         // histograms — the final barrier never runs after a flush.
-        let RegionMicrosim {
-            backends,
-            region_sojourn,
-            ..
-        } = &mut *self;
-        for backend in backends.iter_mut() {
+        for backend in &mut self.backends {
             backend.sojourn_ms.merge(&backend.epoch_sojourn);
-            region_sojourn.merge(&backend.epoch_sojourn);
             backend.epoch_sojourn.reset();
         }
         debug_assert!(self.chained.is_empty());
@@ -1853,7 +1785,6 @@ impl RegionMicrosim {
                 .max(1.0) as u64;
             let completion_us = now_us + service_us;
             state.occupy_earliest(completion_us);
-            state.batches += 1;
             state.busy_us += service_us;
             state.batch_sizes.record(size as f64);
             for _ in 0..size {
@@ -1867,7 +1798,6 @@ impl RegionMicrosim {
                 // region-level histograms with exact merges instead
                 // ([`barrier_signal`](RegionMicrosim::barrier_signal)).
                 state.epoch_sojourn.record(sojourn_ms);
-                state.served_requests += 1;
                 out.push(CompletedRequest {
                     request,
                     backend: backend as u32,
@@ -1991,7 +1921,7 @@ impl RegionMicrosim {
                         heap.push(Reverse((now_us, EVENT_SLOT_FREE, i as u32)));
                         probe.on_push();
                         auto.arm(&mut backend.scaler);
-                        backend.scale_events += 1;
+                        backend.scaling_events += 1;
                         if probe.is_enabled() {
                             probe.emit(TraceEvent::ScalingStep {
                                 time_us: now_us,
@@ -2006,7 +1936,7 @@ impl RegionMicrosim {
                         let retired = backend.retire_idle(slots - target, now_us);
                         if retired > 0 {
                             auto.arm(&mut backend.scaler);
-                            backend.scale_events += 1;
+                            backend.scaling_events += 1;
                             if probe.is_enabled() {
                                 probe.emit(TraceEvent::ScalingStep {
                                     time_us: now_us,
@@ -2039,18 +1969,11 @@ impl RegionMicrosim {
         // publishes ([`scale`](RegionMicrosim::scale) reads the same
         // window just before, at the documented scale-then-signal
         // barrier cadence).
-        let RegionMicrosim {
-            backends,
-            epoch_sojourn,
-            region_sojourn,
-            ..
-        } = &mut *self;
-        for backend in backends.iter_mut() {
+        for backend in &mut self.backends {
             backend.sojourn_ms.merge(&backend.epoch_sojourn);
-            epoch_sojourn.merge(&backend.epoch_sojourn);
+            self.epoch_sojourn.merge(&backend.epoch_sojourn);
             backend.epoch_sojourn.reset();
         }
-        region_sojourn.merge(epoch_sojourn);
         let wait_low = self.wait_ms(false, now_us);
         let target = self.serving.admission.shed_fraction(self.depth(), wait_low);
         self.shed_fraction = damp_shed_fraction(self.shed_fraction, target);
@@ -2083,10 +2006,12 @@ impl RegionMicrosim {
         }
     }
 
-    /// Per-backend cumulative stats, in backend order. Per-slot busy time
-    /// is normalized by the run's mean provisioned slot count (= the
-    /// configured count when static).
-    pub fn backend_stats(&self) -> Vec<BackendStats> {
+    /// The report's per-backend lines for the region named `region`, in
+    /// backend order, with utilization taken over `horizon_ms`. Per-slot
+    /// busy time is normalized by the run's mean provisioned slot count
+    /// (= the configured count when static); batches and served requests
+    /// are the counts of the batch-size and sojourn histograms.
+    pub fn backend_reports(&self, region: &str, horizon_ms: f64) -> Vec<BackendReport> {
         self.serving
             .backends
             .iter()
@@ -2098,18 +2023,24 @@ impl RegionMicrosim {
                     q.slot_timeline.iter().map(|&s| s as f64).sum::<f64>()
                         / q.slot_timeline.len() as f64
                 };
-                BackendStats {
-                    name: b.name.clone(),
+                let busy_ms = q.busy_us as f64 / 1000.0 / mean_slots;
+                let mut sojourn_ms = q.sojourn_ms.clone();
+                sojourn_ms.merge(&q.epoch_sojourn);
+                let served = sojourn_ms.count() as f64;
+                BackendReport {
+                    region: region.to_string(),
+                    backend: b.name.clone(),
                     slots: b.slots,
-                    served_jobs: q.served_requests as f64,
-                    batches: q.batches as f64,
-                    busy_ms: q.busy_us as f64 / 1000.0 / mean_slots,
+                    served_jobs: served,
+                    batches: q.batch_sizes.count() as f64,
+                    busy_ms,
+                    utilization: busy_ms / horizon_ms,
                     batch_sizes: q.batch_sizes.clone(),
-                    sojourn_ms: q.sojourn_ms.clone(),
+                    sojourn_ms,
                     slot_timeline: q.slot_timeline.clone(),
-                    scale_events: q.scale_events,
+                    scaling_events: q.scaling_events,
                     cost_fp: provision_cost_fp(&q.slot_timeline, b.price_per_slot_epoch),
-                    cloud_energy_mj: q.served_requests as f64 * b.energy_per_job_mj,
+                    cloud_energy_mj: served * b.energy_per_job_mj,
                 }
             })
             .collect()
@@ -2209,7 +2140,7 @@ mod tests {
         assert_eq!(b.slots, 10);
         assert_eq!(b.batching.max_batch, 1);
         // Drains `slots / service_ms` jobs per ms.
-        assert_eq!(b.full_batch_rate_per_ms(), 1.0);
+        assert_eq!(b.full_batch_rate_per_slot_ms() * b.slots as f64, 1.0);
         assert_eq!(
             serving.discipline,
             QueueDiscipline::Priority {
@@ -2224,8 +2155,9 @@ mod tests {
         // base 32 ms + 1 ms/item, batch 32: per-item cost 2 ms vs 33 ms.
         let unbatched = BackendConfig::new("gpu", 1, 32.0, 1.0);
         let batched = unbatched.clone().with_batching(32, 100.0);
-        assert!((unbatched.full_batch_rate_per_ms() - 1.0 / 33.0).abs() < 1e-12);
-        assert!((batched.full_batch_rate_per_ms() - 32.0 / 64.0).abs() < 1e-12);
+        let peak_rate = |b: &BackendConfig| b.full_batch_rate_per_slot_ms() * b.slots as f64;
+        assert!((peak_rate(&unbatched) - 1.0 / 33.0).abs() < 1e-12);
+        assert!((peak_rate(&batched) - 32.0 / 64.0).abs() < 1e-12);
 
         // Under the same overload the batched tier drains ~16.5x faster:
         // two 10 s epochs clear all 10 000 jobs, while the unbatched
@@ -2255,7 +2187,7 @@ mod tests {
         tier.admit(0, 200);
         tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
         assert_eq!(tier.depth(), 0.0, "batch 8 keeps up with 0.2 jobs/ms");
-        let stats = tier.backend_stats().remove(0);
+        let stats = tier.backend_reports("r", 1_000.0).remove(0);
         assert_eq!(stats.served_jobs, 200.0);
         let mean_batch = stats.served_jobs / stats.batches;
         let hist = stats.batch_sizes;
@@ -2398,7 +2330,7 @@ mod tests {
         for c in &done {
             assert!((c.sojourn_ms - 10.0).abs() < 1e-9, "got {}", c.sojourn_ms);
         }
-        let stats = sim.backend_stats().remove(0);
+        let stats = sim.backend_reports("r", 1_000.0).remove(0);
         assert_eq!(stats.batches, 4.0);
         assert_eq!(stats.batch_sizes.min(), 1.0);
         assert_eq!(stats.batch_sizes.max(), 1.0);
@@ -2417,7 +2349,7 @@ mod tests {
         let requests: Vec<_> = (0..4).map(|i| request(5_000, i)).collect();
         let done = run_all(&mut sim, &requests);
         assert_eq!(done.len(), 4);
-        let stats = sim.backend_stats().remove(0);
+        let stats = sim.backend_reports("r", 1_000.0).remove(0);
         assert_eq!(stats.batches, 1.0, "one full batch expected");
         // Batch of 4: service 10 + 4·1 = 14 ms for every member.
         for c in &done {
@@ -2436,7 +2368,7 @@ mod tests {
         let requests = vec![request(0, 0), request(5_000, 1)];
         let done = run_all(&mut sim, &requests);
         assert_eq!(done.len(), 2);
-        let stats = sim.backend_stats().remove(0);
+        let stats = sim.backend_reports("r", 1_000.0).remove(0);
         assert_eq!(stats.batches, 1.0);
         // Service of batch 2 = 12 ms, started at linger expiry (50 ms).
         let first = done.iter().find(|c| c.request.device_id == 0).unwrap();
@@ -2466,7 +2398,7 @@ mod tests {
         let requests = vec![request(0, 0), request(50_000, 1)];
         let done = run_all(&mut sim, &requests);
         assert_eq!(done.len(), 2);
-        let stats = sim.backend_stats().remove(0);
+        let stats = sim.backend_reports("r", 1_000.0).remove(0);
         assert_eq!(stats.batches, 1.0, "both requests share one batch");
         // Batch of 2 closes at 50 ms, service 10 + 2·1 = 12 ms.
         let first = done.iter().find(|c| c.request.device_id == 0).unwrap();
@@ -2673,9 +2605,9 @@ mod tests {
             tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
             tier.publish();
         }
-        let stats = &tier.backend_stats()[0];
+        let stats = &tier.backend_reports("r", 1_000.0)[0];
         assert_eq!(stats.slot_timeline, vec![1, 2, 3, 4]);
-        assert_eq!(stats.scale_events, 3);
+        assert_eq!(stats.scaling_events, 3);
         // Idle: the backlog drains, then the pool walks back to min.
         for _ in 0..20 {
             tier.admit(0, 0);
@@ -2683,7 +2615,7 @@ mod tests {
             tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
             tier.publish();
         }
-        let stats = &tier.backend_stats()[0];
+        let stats = &tier.backend_reports("r", 1_000.0)[0];
         assert_eq!(*stats.slot_timeline.last().unwrap(), 1, "{stats:?}");
     }
 
@@ -2694,11 +2626,11 @@ mod tests {
         tier.admit(0, 100_000);
         tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
         tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
-        assert_eq!(tier.backend_stats()[0].slot_timeline, vec![1]);
+        assert_eq!(tier.backend_reports("r", 1_000.0)[0].slot_timeline, vec![1]);
         tier.admit(0, 0);
         tier.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
         tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
-        let stats = &tier.backend_stats()[0];
+        let stats = &tier.backend_reports("r", 1_000.0)[0];
         assert_eq!(stats.slot_timeline, vec![1, 3], "step clamps to max");
         // …and a giant scale-down lands exactly on min_slots.
         let mut serving = autoscaled_backend(
@@ -2715,12 +2647,18 @@ mod tests {
         idle.admit(0, 0);
         idle.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
         idle.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
-        let stats = &idle.backend_stats()[0];
+        let stats = &idle.backend_reports("r", 1_000.0)[0];
         assert_eq!(stats.slot_timeline, vec![50, 10]);
         idle.admit(0, 0);
         idle.drain(1000.0, 0, 0, &mut PhaseProbe::disabled());
         idle.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
-        assert_eq!(*idle.backend_stats()[0].slot_timeline.last().unwrap(), 2);
+        assert_eq!(
+            *idle.backend_reports("r", 1_000.0)[0]
+                .slot_timeline
+                .last()
+                .unwrap(),
+            2
+        );
     }
 
     #[test]
@@ -2739,7 +2677,7 @@ mod tests {
                 tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
                 tier.publish();
             }
-            tier.backend_stats()[0].scale_events
+            tier.backend_reports("r", 1_000.0)[0].scaling_events
         };
         let flappy = run(0);
         let damped = run(3);
@@ -2837,7 +2775,7 @@ mod tests {
             sim.scale(end, 1_000_000, 0, &mut PhaseProbe::disabled());
             sim.barrier_signal(end);
         }
-        let stats = &sim.backend_stats()[0];
+        let stats = &sim.backend_reports("r", 1_000.0)[0];
         assert_eq!(
             stats.slot_timeline,
             vec![1, 2, 3],
@@ -2850,7 +2788,13 @@ mod tests {
             sim.scale(end, 1_000_000, 0, &mut PhaseProbe::disabled());
             sim.barrier_signal(end);
         }
-        assert_eq!(*sim.backend_stats()[0].slot_timeline.last().unwrap(), 1);
+        assert_eq!(
+            *sim.backend_reports("r", 1_000.0)[0]
+                .slot_timeline
+                .last()
+                .unwrap(),
+            1
+        );
     }
 
     /// The same tail-targeting config in the fluid tier degrades to the
@@ -2874,9 +2818,9 @@ mod tests {
             tier.scale(1000.0, 0, 0, &mut PhaseProbe::disabled());
             tier.publish();
         }
-        let stats = &tier.backend_stats()[0];
+        let stats = &tier.backend_reports("r", 1_000.0)[0];
         assert_eq!(stats.slot_timeline, vec![1, 2, 3, 4]);
-        assert_eq!(stats.scale_events, 3);
+        assert_eq!(stats.scaling_events, 3);
     }
 
     #[test]
@@ -2897,7 +2841,7 @@ mod tests {
         let wait_before_scale = tier.wait_ms(false);
         tier.scale(100.0, 0, 0, &mut PhaseProbe::disabled()); // 4000/4 = 1000 jobs/slot < 500? no: 1000 > 500
         assert_eq!(
-            tier.backend_stats()[0].slot_timeline,
+            tier.backend_reports("r", 1_000.0)[0].slot_timeline,
             vec![4],
             "no scale-down above the threshold"
         );
@@ -2909,9 +2853,9 @@ mod tests {
         assert!((remaining - 800.0).abs() < 1e-9);
         tier.scale(800.0, 0, 0, &mut PhaseProbe::disabled());
         let signal = tier.publish();
-        let stats = &tier.backend_stats()[0];
+        let stats = &tier.backend_reports("r", 1_000.0)[0];
         assert_eq!(*stats.slot_timeline.last().unwrap(), 4);
-        assert_eq!(stats.scale_events, 1);
+        assert_eq!(stats.scaling_events, 1);
         assert!(
             (tier.depth() - remaining).abs() < 1e-12,
             "scale-down must not lose queued jobs"
@@ -2969,16 +2913,19 @@ mod tests {
             signal.wait_low_ms,
             wait_pre_scale
         );
-        let stats = &sim.backend_stats()[0];
+        let stats = &sim.backend_reports("r", 1_000.0)[0];
         assert_eq!(stats.slot_timeline, vec![1]);
-        assert_eq!(stats.scale_events, 1);
+        assert_eq!(stats.scaling_events, 1);
         // The added slot serves queued work from the next epoch on, and
         // every admitted request still completes.
         sim.run_epoch(&[], 200_000, &mut out, 0, &mut PhaseProbe::disabled());
         sim.scale(200_000, 199_000, 0, &mut PhaseProbe::disabled());
         sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 10, "flush must complete every request");
-        assert_eq!(sim.backend_stats()[0].slot_timeline, vec![1, 2]);
+        assert_eq!(
+            sim.backend_reports("r", 1_000.0)[0].slot_timeline,
+            vec![1, 2]
+        );
     }
 
     #[test]
@@ -3000,21 +2947,27 @@ mod tests {
             &mut PhaseProbe::disabled(),
         );
         sim.scale(1_000, 1_000, 0, &mut PhaseProbe::disabled());
-        let stats = &sim.backend_stats()[0];
+        let stats = &sim.backend_reports("r", 1_000.0)[0];
         assert_eq!(
-            stats.scale_events, 0,
+            stats.scaling_events, 0,
             "both executors are mid-batch: the scale-down must defer"
         );
         assert_eq!(stats.slot_timeline, vec![2]);
         // Once a batch finishes, the deferred scale-down applies.
         sim.run_epoch(&[], 20_000_000, &mut out, 0, &mut PhaseProbe::disabled());
         sim.scale(20_000_000, 19_999_000, 0, &mut PhaseProbe::disabled());
-        let stats = &sim.backend_stats()[0];
-        assert_eq!(stats.scale_events, 1);
+        let stats = &sim.backend_reports("r", 1_000.0)[0];
+        assert_eq!(stats.scaling_events, 1);
         assert_eq!(*stats.slot_timeline.last().unwrap(), 2);
         sim.run_epoch(&[], 20_001_000, &mut out, 0, &mut PhaseProbe::disabled());
         sim.scale(20_001_000, 1_000, 0, &mut PhaseProbe::disabled());
-        assert_eq!(*sim.backend_stats()[0].slot_timeline.last().unwrap(), 1);
+        assert_eq!(
+            *sim.backend_reports("r", 1_000.0)[0]
+                .slot_timeline
+                .last()
+                .unwrap(),
+            1
+        );
         sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 2);
     }

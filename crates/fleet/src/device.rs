@@ -206,7 +206,6 @@ pub struct Device {
     pub(crate) high_priority: bool,
     pub(crate) tracker: ThroughputTracker,
     pub(crate) current_option: Option<u32>,
-    pub(crate) next_event_us: u64,
     pub(crate) rng: StdRng,
     /// Seed of the stateless shed/failover decision stream — hashed with
     /// the event time rather than drawn from `rng`, so admission decisions
@@ -215,19 +214,12 @@ pub struct Device {
 }
 
 impl Device {
-    pub(crate) fn new(
-        cohort: u32,
-        high_priority: bool,
-        tracker_alpha: f64,
-        seed: u64,
-        first_event_us: u64,
-    ) -> Self {
+    pub(crate) fn new(cohort: u32, high_priority: bool, tracker_alpha: f64, seed: u64) -> Self {
         Device {
             cohort,
             high_priority,
             tracker: ThroughputTracker::new(tracker_alpha),
             current_option: None,
-            next_event_us: first_event_us,
             rng: StdRng::seed_from_u64(seed),
             shed_seed: mix_seed(seed, 0x5EED),
         }
@@ -543,7 +535,7 @@ mod tests {
     #[test]
     fn dynamic_serve_matches_dominance_map() {
         let c = cohort(Metric::Energy);
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
             ServeContext {
@@ -581,7 +573,7 @@ mod tests {
         fixed_edge.fixed_index = Some(fixed_edge.resolve_fixed(&DeploymentKind::AllEdge).unwrap());
 
         let policy = FleetPolicy::Fixed(DeploymentKind::AllCloud); // kind irrelevant post-resolve
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let base = d.serve_with_sample(
             &fixed_cloud,
             ServeContext {
@@ -598,7 +590,7 @@ mod tests {
             0,
             Mbps::new(8.0),
         );
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let queued = d.serve_with_sample(
             &fixed_cloud,
             ServeContext {
@@ -618,7 +610,7 @@ mod tests {
         assert!((queued.latency_ms - base.latency_ms - 500.0).abs() < 1e-9);
         assert!((queued.energy_mj - base.energy_mj).abs() < 1e-12);
 
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let edge = d.serve_with_sample(
             &fixed_edge,
             ServeContext {
@@ -635,7 +627,7 @@ mod tests {
             0,
             Mbps::new(8.0),
         );
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let edge_q = d.serve_with_sample(
             &fixed_edge,
             ServeContext {
@@ -659,7 +651,7 @@ mod tests {
     fn congestion_aware_routes_around_saturated_cloud() {
         let c = cohort(Metric::Latency);
         // At a high rate the base latency argmin offloads…
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
             ServeContext {
@@ -678,7 +670,7 @@ mod tests {
         );
         assert!(served.offloaded, "uncongested fast link should offload");
         // …but an hour-long queue forces All-Edge.
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
             ServeContext {
@@ -708,7 +700,7 @@ mod tests {
         let local = c.local_index.unwrap();
         let policy = FleetPolicy::Fixed(DeploymentKind::AllCloud);
         let signals = vec![shedding(1.0)];
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
             ServeContext {
@@ -740,9 +732,9 @@ mod tests {
         let policy = FleetPolicy::Fixed(DeploymentKind::AllCloud);
         // Own region (index 0) sheds everything; region 2 is least loaded.
         let signals = vec![shedding(1.0), waiting(900.0)[0], waiting(200.0)[0]];
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let base = {
-            let mut d2 = Device::new(0, false, 1.0, 1, 0);
+            let mut d2 = Device::new(0, false, 1.0, 1);
             d2.serve_with_sample(
                 &c,
                 ServeContext {
@@ -803,7 +795,7 @@ mod tests {
         };
         let signals = vec![shedding(1.0), pricey, cheap_but_busy];
         let serve = |dispatch| {
-            let mut d = Device::new(0, false, 1.0, 1, 0);
+            let mut d = Device::new(0, false, 1.0, 1);
             d.serve_with_sample(
                 &c,
                 ServeContext {
@@ -853,7 +845,7 @@ mod tests {
             ..RegionSignal::default()
         };
         let signals = vec![shedding(1.0), cheap_but_shedding, pricey_but_open];
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
             ServeContext {
@@ -881,7 +873,7 @@ mod tests {
         c.fixed_index = Some(c.resolve_fixed(&DeploymentKind::AllCloud).unwrap());
         let policy = FleetPolicy::Fixed(DeploymentKind::AllCloud);
         let signals = vec![shedding(1.0), shedding(1.0)];
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
             ServeContext {
@@ -911,7 +903,7 @@ mod tests {
         let run = || {
             let mut shed = 0u32;
             for dev in 0..400u64 {
-                let mut d = Device::new(0, false, 1.0, dev, 0);
+                let mut d = Device::new(0, false, 1.0, dev);
                 let s = d.serve_with_sample(
                     &c,
                     ServeContext {
@@ -946,7 +938,7 @@ mod tests {
         // A trace that jumps between a rate favouring All-Edge and one
         // favouring offload must produce a switch.
         let samples = [Mbps::new(0.2), Mbps::new(40.0), Mbps::new(0.2)];
-        let mut d = Device::new(0, false, 1.0, 1, 0);
+        let mut d = Device::new(0, false, 1.0, 1);
         let mut switches = 0;
         for (i, &tu) in (0u64..).zip(&samples) {
             let s = d.serve_with_sample(
@@ -972,8 +964,8 @@ mod tests {
 
     #[test]
     fn poisson_draws_are_positive_and_deterministic() {
-        let mut a = Device::new(0, false, 1.0, 9, 0);
-        let mut b = Device::new(0, false, 1.0, 9, 0);
+        let mut a = Device::new(0, false, 1.0, 9);
+        let mut b = Device::new(0, false, 1.0, 9);
         for _ in 0..100 {
             let da = a.draw_interarrival_us(1000.0);
             assert_eq!(da, b.draw_interarrival_us(1000.0));
@@ -1097,7 +1089,7 @@ mod tests {
                 p99_ms,
                 ..RegionSignal::default()
             }];
-            let mut d = Device::new(0, false, 1.0, seed, 0);
+            let mut d = Device::new(0, false, 1.0, seed);
             d.serve_with_sample(
                 &c,
                 ctx_with(&policy, None, deadline),
@@ -1149,7 +1141,7 @@ mod tests {
         let (c, policy) = all_cloud(Metric::Latency);
         let transfer_total_ms = [12.5f64];
         let serve_one = |pipeline: Option<(u32, &[f64])>, signals: &[RegionSignal]| {
-            let mut d = Device::new(0, false, 1.0, 1, 0);
+            let mut d = Device::new(0, false, 1.0, 1);
             d.serve_with_sample(
                 &c,
                 ServeContext {
@@ -1192,7 +1184,7 @@ mod tests {
         let run = |curve: &WorkloadCurve| {
             let mut offloads = 0u32;
             for dev in 0..400u64 {
-                let mut d = Device::new(0, false, 1.0, dev, 0);
+                let mut d = Device::new(0, false, 1.0, dev);
                 let s = d.serve_with_sample(
                     &c,
                     ctx_with(&policy, Some(curve), None),

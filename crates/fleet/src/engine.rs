@@ -29,8 +29,12 @@
 //! (cost-weighted) water-filling and drains them as batch-amortized
 //! epoch aggregates; the per-request tier replays every offloaded
 //! request through the region's microsim. The `RegionTier` trait in
-//! `src/replay.rs` holds that difference and nothing else; the
-//! fidelity is matched once, where the workers are built. The barrier
+//! `src/replay.rs` holds that difference, and the fidelity is matched
+//! once, where the workers are built. The shard step still branches on
+//! fidelity in two places: `advance_shard` books a fluid offload at once
+//! but defers a per-request one as an [`OffloadRequest`], and the device
+//! charges the published wait and the staged transfers only under fluid
+//! (`ServeContext::{fidelity, pipeline}`). The barrier
 //! phases are strictly ordered — **drain → scale → publish** — in both
 //! fidelity modes: autoscalers adjust live slot counts *before* the next
 //! epoch's [`RegionSignal`]s (per-class waits, the admission
@@ -48,7 +52,7 @@ use crate::replay::{
     replay_in_parallel, run_barrier, FluidRegionReplay, PerRequestRegionReplay,
     RegionBarrierOutput, RegionTier,
 };
-use crate::report::{BackendReport, FleetReport};
+use crate::report::FleetReport;
 use crate::scenario::{ArrivalModel, FleetPolicy, FleetScenario, WorkloadCurve};
 use crate::{mix_seed, Cohort, FleetError};
 use lens_device::profile_network;
@@ -310,9 +314,10 @@ impl FleetEngine {
             .unwrap_or(self.cumulative.len() - 1)
     }
 
-    /// Builds one device session and synthesizes its throughput trace,
-    /// which the caller stores in its shard's sample arena.
-    fn build_device(&self, device_id: usize, num_samples: usize) -> (Device, ThroughputTrace) {
+    /// Builds one device session, its first firing time (µs) for the
+    /// shard queue, and its synthesized throughput trace, which the caller
+    /// stores in its shard's sample arena.
+    fn build_device(&self, device_id: usize, num_samples: usize) -> (Device, u64, ThroughputTrace) {
         let scenario = &self.scenario;
         let cohort_idx = self.cohort_of(device_id);
         let cohort = &self.cohorts[cohort_idx];
@@ -335,9 +340,8 @@ impl FleetEngine {
             high_priority,
             scenario.tracker_alpha,
             mix_seed(dseed, 2),
-            0,
         );
-        device.next_event_us = match scenario.arrival {
+        let first_event_us = match scenario.arrival {
             ArrivalModel::Periodic { period } => {
                 self.periodic_offset_us(device_id, to_us(period.get()))
             }
@@ -345,7 +349,7 @@ impl FleetEngine {
                 device.draw_interarrival_us(mean_interarrival.get() * 1000.0)
             }
         };
-        (device, trace)
+        (device, first_event_us, trace)
     }
 
     /// A device's first firing time under periodic arrivals: a hash-spread
@@ -461,8 +465,8 @@ impl FleetEngine {
     /// The barrier loop both fidelities share, generic over the event
     /// sink and the region tier. Each epoch the shards advance in
     /// parallel, then every region's worker serves, scales and publishes
-    /// at the barrier; `T` holds the only code that differs between the
-    /// fidelities.
+    /// at the barrier; `T` holds the barrier code that differs between
+    /// the fidelities.
     fn run_tier<S: Sink, T: RegionTier>(
         &self,
         sink: &mut S,
@@ -591,33 +595,17 @@ impl FleetEngine {
             report.merge(&state.report);
         }
         let horizon_ms = horizon_us as f64 / 1000.0;
-        let mut backend_reports = Vec::new();
-        for (region, worker) in workers.iter().enumerate() {
-            for stats in worker.backend_stats() {
-                backend_reports.push(BackendReport {
-                    region: region_names[region].clone(),
-                    backend: stats.name,
-                    slots: stats.slots,
-                    served_jobs: stats.served_jobs,
-                    batches: stats.batches,
-                    busy_ms: stats.busy_ms,
-                    utilization: stats.busy_ms / horizon_ms,
-                    batch_sizes: stats.batch_sizes,
-                    sojourn_ms: stats.sojourn_ms,
-                    slot_timeline: stats.slot_timeline,
-                    scaling_events: stats.scale_events,
-                    cost_fp: stats.cost_fp,
-                    cloud_energy_mj: stats.cloud_energy_mj,
-                });
-            }
-        }
-        let (depth_series, cloud_sojourn) = workers
+        let backend_reports = workers
+            .iter()
+            .zip(&region_names)
+            .flat_map(|(worker, region)| worker.backend_reports(region, horizon_ms))
+            .collect();
+        let depth_series = workers
             .into_iter()
             .map(|worker| worker.finish(&mut report))
-            .unzip();
+            .collect();
         report.set_queue_series(depth_series, wait_series);
         report.set_backend_reports(backend_reports);
-        report.set_cloud_sojourn(cloud_sojourn);
         Ok((report, metrics, profile))
     }
 
@@ -787,12 +775,13 @@ impl FleetEngine {
                         // device's column.
                         let mut samples = vec![Mbps::new(1.0); num_samples * n];
                         for (local, &id) in ids.iter().enumerate() {
-                            let (device, trace) = self.build_device(id as usize, num_samples);
+                            let (device, first_event_us, trace) =
+                                self.build_device(id as usize, num_samples);
                             debug_assert_eq!(trace.len(), num_samples);
                             for (row, &sample) in samples.chunks_exact_mut(n).zip(trace.samples()) {
                                 row[local] = sample;
                             }
-                            seeds.push((device.next_event_us, local as u32));
+                            seeds.push((first_event_us, local as u32));
                             devices.push(device);
                         }
                         ShardState {

@@ -223,9 +223,9 @@ pub mod report;
 pub mod scenario;
 
 pub use cloud::{
-    AdmissionPolicy, Autoscaler, BackendConfig, BackendStats, BatchPolicy, CloudServing,
-    CloudSimFidelity, CompletedRequest, DispatchPolicy, FailoverPolicy, OffloadRequest,
-    QueueDiscipline, RegionMicrosim, RegionServing, RegionSignal, ScalerState, ScalingSignal,
+    AdmissionPolicy, Autoscaler, BackendConfig, BatchPolicy, CloudServing, CloudSimFidelity,
+    CompletedRequest, DispatchPolicy, FailoverPolicy, OffloadRequest, QueueDiscipline,
+    RegionMicrosim, RegionServing, RegionSignal, ScalerState, ScalingSignal,
 };
 pub use device::{Cohort, Device};
 pub use engine::FleetEngine;

@@ -1,4 +1,5 @@
-//! Parallel barrier replay, and the one place the cloud fidelities differ.
+//! Parallel barrier replay, and where the cloud fidelities differ at the
+//! barrier.
 //!
 //! Between the shard-step drain and the signal publish, every region's
 //! serving tier is **independent**: a [`RegionServing`]/[`RegionMicrosim`]
@@ -9,11 +10,14 @@
 //! scoped thread pool ([`run_barrier`]).
 //!
 //! Both fidelities run through the engine's one barrier loop. A worker is
-//! a [`RegionTier`], and the trait holds everything that differs:
-//! [`FluidRegionReplay`] admits merged offload counts and drains them as
-//! epoch aggregates, while [`PerRequestRegionReplay`] replays every
-//! offloaded request through its region's microsim, books the pipeline
-//! stages the microsim chains, and drains its backlog past the horizon.
+//! a [`RegionTier`], and the trait holds everything that differs at the
+//! barrier: [`FluidRegionReplay`] admits merged offload counts and drains
+//! them as epoch aggregates, while [`PerRequestRegionReplay`] replays
+//! every offloaded request through its region's microsim, books the
+//! pipeline stages the microsim chains, and drains its backlog past the
+//! horizon. Each tier builds its own `BackendReport`s. The shard step's
+//! two fidelity branches — offload booking in the engine, the fluid wait
+//! and transfer charge in the device — live outside the trait.
 //!
 //! Determinism holds by construction, not by luck:
 //!
@@ -34,13 +38,12 @@
 //!   (`tests/cross_crate_props.rs` pins Sequential vs. Parallel).
 
 use crate::cloud::{
-    BackendStats, CloudServing, CompletedRequest, OffloadRequest, RegionMicrosim, RegionServing,
-    RegionSignal, SOJOURN_BINS, SOJOURN_BIN_MS,
+    CloudServing, CompletedRequest, OffloadRequest, RegionMicrosim, RegionServing, RegionSignal,
 };
 use crate::device::Served;
 use crate::engine::ShardEpochOutput;
 use crate::pipeline::PipelinePricing;
-use crate::report::{FleetReport, Histogram};
+use crate::report::{BackendReport, FleetReport};
 use crate::scenario::ReplayMode;
 use lens_telemetry::{PhaseCounters, PhaseProbe, TraceEvent};
 
@@ -101,8 +104,8 @@ where
 }
 
 /// One region's replay worker: everything the two cloud fidelities do
-/// differently. The engine's barrier loop is generic over this trait, so
-/// it is written once for both.
+/// differently at the barrier. The engine's barrier loop is generic over
+/// this trait, so it is written once for both.
 pub(crate) trait RegionTier: Send {
     /// Whether the tier replays individual requests. Only such tiers
     /// measure a cumulative region p99 (sampled as `p99_ms/<region>`)
@@ -134,13 +137,13 @@ pub(crate) trait RegionTier: Send {
     /// The region's cumulative p99 cloud sojourn so far (ms).
     fn p99_ms(&self) -> f64;
 
-    /// Per-backend cumulative stats, backend order.
-    fn backend_stats(&self) -> Vec<BackendStats>;
+    /// The report's per-backend lines for the region named `region`,
+    /// backend order, with utilization taken over `horizon_ms`.
+    fn backend_reports(&self, region: &str, horizon_ms: f64) -> Vec<BackendReport>;
 
     /// Ends the run: folds the worker's report partial, if it keeps one,
-    /// into `report`, and hands back the region's queue-depth series and
-    /// cloud sojourn histogram.
-    fn finish(self, report: &mut FleetReport) -> (Vec<f64>, Histogram);
+    /// into `report`, and hands back the region's queue-depth series.
+    fn finish(self, report: &mut FleetReport) -> Vec<f64>;
 }
 
 /// The fluid tier's per-region replay worker.
@@ -205,16 +208,12 @@ impl RegionTier for FluidRegionReplay {
         0.0
     }
 
-    fn backend_stats(&self) -> Vec<BackendStats> {
-        self.serving.backend_stats()
+    fn backend_reports(&self, region: &str, horizon_ms: f64) -> Vec<BackendReport> {
+        self.serving.backend_reports(region, horizon_ms)
     }
 
-    /// Fluid runs keep an empty sojourn histogram.
-    fn finish(self, _report: &mut FleetReport) -> (Vec<f64>, Histogram) {
-        (
-            self.depth_series,
-            Histogram::new(SOJOURN_BIN_MS, SOJOURN_BINS),
-        )
+    fn finish(self, _report: &mut FleetReport) -> Vec<f64> {
+        self.depth_series
     }
 }
 
@@ -222,9 +221,8 @@ impl RegionTier for FluidRegionReplay {
 /// region-local accumulators the barrier feeds — the deferred-completion
 /// report partial (fixed-point sums, so merging the partials at the end
 /// is exact and order-independent) and pooled merge/completion buffers
-/// reused across epochs. The region-level sojourn histogram lives inside
-/// the microsim, folded incrementally from the per-backend epoch windows
-/// at each barrier.
+/// reused across epochs. The sojourn histograms live only inside the
+/// microsim's backends; the region's view is their merge.
 pub(crate) struct PerRequestRegionReplay {
     sim: RegionMicrosim,
     report: FleetReport,
@@ -344,16 +342,16 @@ impl RegionTier for PerRequestRegionReplay {
     }
 
     fn p99_ms(&self) -> f64 {
-        self.sim.region_sojourn().percentile(99.0)
+        self.sim.sojourn_ms().percentile(99.0)
     }
 
-    fn backend_stats(&self) -> Vec<BackendStats> {
-        self.sim.backend_stats()
+    fn backend_reports(&self, region: &str, horizon_ms: f64) -> Vec<BackendReport> {
+        self.sim.backend_reports(region, horizon_ms)
     }
 
-    fn finish(mut self, report: &mut FleetReport) -> (Vec<f64>, Histogram) {
+    fn finish(self, report: &mut FleetReport) -> Vec<f64> {
         report.merge(&self.report);
-        (self.depth_series, self.sim.take_region_sojourn())
+        self.depth_series
     }
 }
 

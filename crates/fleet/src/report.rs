@@ -454,8 +454,6 @@ impl BackendReport {
 pub struct FleetReport {
     latency: Histogram,
     energy: Histogram,
-    switches: u64,
-    offloaded: u64,
     per_region: Vec<RegionReport>,
     /// Per-backend serving stats, region-major (set at end of run).
     backends: Vec<BackendReport>,
@@ -465,8 +463,9 @@ pub struct FleetReport {
     /// worst-case wait an offloaded inference of that epoch experienced.
     queue_wait_ms: Vec<Vec<f64>>,
     /// Per-region exact per-request cloud sojourn histograms (ms), keyed
-    /// by *serving* region. Populated only by the per-request
-    /// microsimulation; empty histograms under the fluid model.
+    /// by *serving* region: each is the merge of its region's backends'
+    /// `sojourn_ms`, taken when the run stores its backend reports. Empty
+    /// histograms under the fluid model.
     cloud_sojourn: Vec<Histogram>,
     /// Completed pipeline-stage requests per stage (index = stage − 1).
     /// Empty unless the scenario carries a staged
@@ -496,8 +495,6 @@ impl FleetReport {
         FleetReport {
             latency: Histogram::new(latency_bin_ms, num_bins),
             energy: Histogram::new(energy_bin_mj, num_bins),
-            switches: 0,
-            offloaded: 0,
             per_region: regions.iter().map(|r| RegionReport::new(r)).collect(),
             backends: Vec::new(),
             queue_depth: Vec::new(),
@@ -546,11 +543,9 @@ impl FleetReport {
             .saturating_add(to_fp(served.latency_ms));
         region.energy_sum_fp = region.energy_sum_fp.saturating_add(to_fp(served.energy_mj));
         if served.offloaded {
-            self.offloaded += 1;
             region.offloaded += 1;
         }
         if served.switched {
-            self.switches += 1;
             region.switches += 1;
         }
         if served.shed_to_local {
@@ -580,8 +575,6 @@ impl FleetReport {
         );
         self.latency.merge(&other.latency);
         self.energy.merge(&other.energy);
-        self.switches += other.switches;
-        self.offloaded += other.offloaded;
         for (a, b) in self.per_region.iter_mut().zip(&other.per_region) {
             a.merge(b);
         }
@@ -613,13 +606,16 @@ impl FleetReport {
         self.queue_wait_ms = wait;
     }
 
+    /// Stores the run's per-backend stats (region-major) and folds each
+    /// backend's sojourns into its region's `cloud_sojourn` — once, at the
+    /// end of the run.
     pub(crate) fn set_backend_reports(&mut self, backends: Vec<BackendReport>) {
+        for (region, sojourn) in self.per_region.iter().zip(&mut self.cloud_sojourn) {
+            for backend in backends.iter().filter(|b| b.region == region.region) {
+                sojourn.merge(&backend.sojourn_ms);
+            }
+        }
         self.backends = backends;
-    }
-
-    pub(crate) fn set_cloud_sojourn(&mut self, sojourn: Vec<Histogram>) {
-        debug_assert_eq!(sojourn.len(), self.per_region.len());
-        self.cloud_sojourn = sojourn;
     }
 
     /// End-to-end latency distribution (ms per inference, queue waits
@@ -640,12 +636,12 @@ impl FleetReport {
 
     /// Inferences that used the cloud (including failovers).
     pub fn offloaded(&self) -> u64 {
-        self.offloaded
+        self.per_region.iter().map(|r| r.offloaded).sum()
     }
 
     /// Total dynamic-policy option switches.
     pub fn switches(&self) -> u64 {
-        self.switches
+        self.per_region.iter().map(|r| r.switches).sum()
     }
 
     /// Offloads shed to on-device execution, fleet-wide.
@@ -696,10 +692,11 @@ impl FleetReport {
     }
 
     /// Exact per-request cloud sojourn histograms (ms), one per *serving*
-    /// region in scenario order. Only the per-request fidelity populates
-    /// these; under the fluid model every histogram is empty (counts 0) —
-    /// the fluid tier resolves epochs as aggregates and has no
-    /// per-request times to record.
+    /// region in scenario order: the merge of that region's
+    /// [`BackendReport::sojourn_ms`]. Only the per-request fidelity
+    /// populates these; under the fluid model every histogram is empty
+    /// (counts 0) — the fluid tier resolves epochs as aggregates and has
+    /// no per-request times to record.
     pub fn cloud_sojourn(&self) -> &[Histogram] {
         &self.cloud_sojourn
     }
@@ -769,11 +766,6 @@ impl FleetReport {
         self.provision_cost() * self.cloud_energy_mj()
     }
 
-    /// Total end-to-end latency accumulated by the fleet (ms).
-    pub fn total_latency_ms(&self) -> f64 {
-        self.latency.sum()
-    }
-
     /// Aggregate energy·delay: total edge energy (mJ) × mean end-to-end
     /// latency (ms) — the congestion-sensitive figure of merit
     /// `examples/cloud_batching.rs` sweeps.
@@ -794,8 +786,8 @@ impl FleetReport {
             h((fp >> 64) as u64);
         };
         feed(self.inferences());
-        feed(self.offloaded);
-        feed(self.switches);
+        feed(self.offloaded());
+        feed(self.switches());
         feed_fp(&mut feed, self.latency.sum_fp());
         feed_fp(&mut feed, self.energy.sum_fp());
         for r in &self.per_region {
@@ -850,13 +842,13 @@ impl fmt::Display for FleetReport {
             f,
             "fleet report: {} inferences, {} offloaded ({:.1}%), {} switches, {} shed, {} failed over, {} retreated",
             self.inferences(),
-            self.offloaded,
+            self.offloaded(),
             if self.inferences() == 0 {
                 0.0
             } else {
-                100.0 * self.offloaded as f64 / self.inferences() as f64
+                100.0 * self.offloaded() as f64 / self.inferences() as f64
             },
-            self.switches,
+            self.switches(),
             self.shed_to_local(),
             self.failed_over(),
             self.retreated(),
@@ -1105,7 +1097,7 @@ mod tests {
         assert_eq!(a.switches(), 1);
         assert_eq!(a.regions()[0].inferences, 1);
         assert_eq!(a.regions()[1].switches, 1);
-        assert_eq!(a.total_latency_ms(), 30.0);
+        assert_eq!(a.latency().sum(), 30.0);
         assert_eq!(a.total_energy_mj(), 7.0);
         assert_eq!(a.energy_delay(), 7.0 * 15.0);
     }
@@ -1171,34 +1163,38 @@ mod tests {
     #[test]
     fn display_summarizes() {
         let regions = vec!["USA".to_string()];
-        let mut r = FleetReport::empty(1.0, 1.0, 100, &regions);
-        r.record(0, &served(12.0, 3.0, true, true));
-        r.set_backend_reports(vec![BackendReport {
-            region: "USA".to_string(),
-            backend: "gpu".to_string(),
-            slots: 2,
-            served_jobs: 100.0,
-            batches: 10.0,
-            busy_ms: 500.0,
-            utilization: 0.5,
-            batch_sizes: Histogram::new(1.0, 8),
-            sojourn_ms: Histogram::new(1.0, 8),
-            slot_timeline: vec![2, 2, 4],
-            scaling_events: 1,
-            cost_fp: 8_000_000,
-            cloud_energy_mj: 25.0,
-        }]);
-        let s = format!("{r}");
+        let display = |sojourn_ms: Histogram| {
+            let mut r = FleetReport::empty(1.0, 1.0, 100, &regions);
+            r.record(0, &served(12.0, 3.0, true, true));
+            r.set_backend_reports(vec![BackendReport {
+                region: "USA".to_string(),
+                backend: "gpu".to_string(),
+                slots: 2,
+                served_jobs: 100.0,
+                batches: 10.0,
+                busy_ms: 500.0,
+                utilization: 0.5,
+                batch_sizes: Histogram::new(1.0, 8),
+                sojourn_ms,
+                slot_timeline: vec![2, 2, 4],
+                scaling_events: 1,
+                cost_fp: 8_000_000,
+                cloud_energy_mj: 25.0,
+            }]);
+            format!("{r}")
+        };
+        let empty = || Histogram::new(crate::cloud::SOJOURN_BIN_MS, crate::cloud::SOJOURN_BINS);
+        let s = display(empty());
         assert!(s.contains("fleet report"));
         assert!(s.contains("USA"));
         assert!(s.contains("gpu"));
         assert!(s.contains("50.0% util"));
         // Fluid reports carry empty sojourn histograms: no tail lines.
         assert!(!s.contains("cloud sojourn"), "{s}");
-        let mut sojourn = Histogram::new(10.0, 100);
+        // The region's sojourns are its backends' merged.
+        let mut sojourn = empty();
         sojourn.record(42.0);
-        r.set_cloud_sojourn(vec![sojourn]);
-        let s = format!("{r}");
+        let s = display(sojourn);
         assert!(s.contains("cloud sojourn"), "{s}");
     }
 

@@ -187,7 +187,10 @@ impl WorkloadCurve {
     /// `(curve, time, region)` always lands in the same phase no matter
     /// how the run is sharded or how long its epochs are.
     pub fn phase_index(&self, time_us: u64, region: usize) -> usize {
-        let local = time_us.saturating_sub(region as u64 * self.region_offset_us);
+        // A shift past the µs clock saturates: that region's curve has
+        // not started yet.
+        let shift_us = (region as u64).saturating_mul(self.region_offset_us);
+        let local = time_us.saturating_sub(shift_us);
         match self
             .phases
             .binary_search_by_key(&local, |&(start, _)| start)
@@ -208,8 +211,9 @@ impl WorkloadCurve {
     /// # Errors
     ///
     /// Returns a human-readable reason when the curve has no phases, does
-    /// not start at time 0, has non-increasing phase starts, or carries a
-    /// multiplier outside `[0, CURVE_FP_SCALE]`.
+    /// not start at time 0, has non-increasing phase starts, carries a
+    /// multiplier outside `[0, CURVE_FP_SCALE]`, or has a per-region
+    /// offset above 2^53 µs.
     pub fn validate(&self) -> Result<(), String> {
         if self.phases.is_empty() {
             return Err("workload curve needs at least one phase".to_string());
@@ -228,6 +232,9 @@ impl WorkloadCurve {
             return Err(format!(
                 "workload curve multipliers must be in [0, {CURVE_FP_SCALE}] micro-units"
             ));
+        }
+        if self.region_offset_us > MAX_SPAN_US {
+            return Err("workload curve region offset must be at most 2^53 µs".to_string());
         }
         Ok(())
     }
@@ -443,28 +450,11 @@ impl FleetScenario {
     }
 }
 
-/// Builder for [`FleetScenario`]; every setter has a sensible default.
+/// Builder for [`FleetScenario`]: the scenario under construction, every
+/// field at a sensible default until a setter replaces it.
 #[derive(Debug, Clone)]
 pub struct FleetScenarioBuilder {
-    population: usize,
-    regions: Vec<RegionShare>,
-    horizon: Millis,
-    trace_interval: Millis,
-    arrival: ArrivalModel,
-    serving: CloudServing,
-    fidelity: CloudSimFidelity,
-    policy: FleetPolicy,
-    metric: Metric,
-    tracker_alpha: f64,
-    seed: u64,
-    shards: usize,
-    network: Option<Network>,
-    device_profile: DeviceProfile,
-    telemetry: TelemetryConfig,
-    workload: Option<WorkloadCurve>,
-    tail_deadline: Option<Millis>,
-    replay: ReplayMode,
-    pipeline: Option<PipelineSpec>,
+    scenario: FleetScenario,
 }
 
 impl Default for FleetScenarioBuilder {
@@ -477,27 +467,29 @@ impl Default for FleetScenarioBuilder {
             RegionShare::new(Region::new("Afghanistan", Mbps::new(0.7)), 0.2),
         ];
         FleetScenarioBuilder {
-            population: 10_000,
-            regions,
-            horizon: Millis::new(3_600_000.0),
-            trace_interval: Millis::new(60_000.0),
-            arrival: ArrivalModel::Periodic {
-                period: Millis::new(60_000.0),
+            scenario: FleetScenario {
+                population: 10_000,
+                regions,
+                horizon: Millis::new(3_600_000.0),
+                trace_interval: Millis::new(60_000.0),
+                arrival: ArrivalModel::Periodic {
+                    period: Millis::new(60_000.0),
+                },
+                serving: CloudServing::single(64, 8.0),
+                fidelity: CloudSimFidelity::Fluid,
+                policy: FleetPolicy::Dynamic,
+                metric: Metric::Energy,
+                tracker_alpha: 1.0,
+                seed: 0,
+                shards: 1,
+                network: lens_nn::zoo::alexnet(),
+                device_profile: DeviceProfile::jetson_tx2_cpu(),
+                telemetry: TelemetryConfig::default(),
+                workload: None,
+                tail_deadline: None,
+                replay: ReplayMode::Auto,
+                pipeline: None,
             },
-            serving: CloudServing::single(64, 8.0),
-            fidelity: CloudSimFidelity::Fluid,
-            policy: FleetPolicy::Dynamic,
-            metric: Metric::Energy,
-            tracker_alpha: 1.0,
-            seed: 0,
-            shards: 1,
-            network: None,
-            device_profile: DeviceProfile::jetson_tx2_cpu(),
-            telemetry: TelemetryConfig::default(),
-            workload: None,
-            tail_deadline: None,
-            replay: ReplayMode::Auto,
-            pipeline: None,
         }
     }
 }
@@ -505,31 +497,31 @@ impl Default for FleetScenarioBuilder {
 impl FleetScenarioBuilder {
     /// Sets the number of device sessions.
     pub fn population(mut self, population: usize) -> Self {
-        self.population = population;
+        self.scenario.population = population;
         self
     }
 
     /// Replaces the regional mix.
     pub fn regions(mut self, regions: Vec<RegionShare>) -> Self {
-        self.regions = regions;
+        self.scenario.regions = regions;
         self
     }
 
     /// Sets the simulated horizon.
     pub fn horizon(mut self, horizon: Millis) -> Self {
-        self.horizon = horizon;
+        self.scenario.horizon = horizon;
         self
     }
 
     /// Sets the trace-sample interval (= epoch length).
     pub fn trace_interval(mut self, interval: Millis) -> Self {
-        self.trace_interval = interval;
+        self.scenario.trace_interval = interval;
         self
     }
 
     /// Sets the arrival model.
     pub fn arrival(mut self, arrival: ArrivalModel) -> Self {
-        self.arrival = arrival;
+        self.scenario.arrival = arrival;
         self
     }
 
@@ -541,7 +533,7 @@ impl FleetScenarioBuilder {
     /// including autoscaler bounds and price/energy sanity — are checked
     /// by [`CloudServing::validate`] at [`build`](FleetScenarioBuilder::build).
     pub fn serving(mut self, serving: CloudServing) -> Self {
-        self.serving = serving;
+        self.scenario.serving = serving;
         self
     }
 
@@ -550,55 +542,55 @@ impl FleetScenarioBuilder {
     /// [`CloudSimFidelity::PerRequest`] (discrete per-request
     /// microsimulation with exact tail-latency reporting).
     pub fn fidelity(mut self, fidelity: CloudSimFidelity) -> Self {
-        self.fidelity = fidelity;
+        self.scenario.fidelity = fidelity;
         self
     }
 
     /// Sets the switching policy.
     pub fn policy(mut self, policy: FleetPolicy) -> Self {
-        self.policy = policy;
+        self.scenario.policy = policy;
         self
     }
 
     /// Sets the metric the policy optimizes.
     pub fn metric(mut self, metric: Metric) -> Self {
-        self.metric = metric;
+        self.scenario.metric = metric;
         self
     }
 
     /// Sets the throughput-tracker EWMA factor (1 = last-sample).
     pub fn tracker_alpha(mut self, alpha: f64) -> Self {
-        self.tracker_alpha = alpha;
+        self.scenario.tracker_alpha = alpha;
         self
     }
 
     /// Sets the scenario seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.scenario.seed = seed;
         self
     }
 
     /// Sets the shard (worker-thread) count.
     pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+        self.scenario.shards = shards;
         self
     }
 
     /// Sets the deployed network (default: AlexNet).
     pub fn network(mut self, network: Network) -> Self {
-        self.network = Some(network);
+        self.scenario.network = network;
         self
     }
 
     /// Sets the edge-device hardware profile.
     pub fn device_profile(mut self, profile: DeviceProfile) -> Self {
-        self.device_profile = profile;
+        self.scenario.device_profile = profile;
         self
     }
 
     /// Sets the flight-recorder configuration for traced runs.
     pub fn telemetry(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = telemetry;
+        self.scenario.telemetry = telemetry;
         self
     }
 
@@ -606,14 +598,14 @@ impl FleetScenarioBuilder {
     /// offload intent over the run (validated at
     /// [`build`](FleetScenarioBuilder::build)).
     pub fn workload(mut self, curve: WorkloadCurve) -> Self {
-        self.workload = Some(curve);
+        self.scenario.workload = Some(curve);
         self
     }
 
     /// Sets the per-request tail deadline budget: devices retreat to their
     /// local-only option while the published epoch p99 exceeds it.
     pub fn tail_deadline(mut self, deadline: Millis) -> Self {
-        self.tail_deadline = Some(deadline);
+        self.scenario.tail_deadline = Some(deadline);
         self
     }
 
@@ -625,7 +617,7 @@ impl FleetScenarioBuilder {
     /// boundaries (depth 1) is accepted and behaves exactly like no
     /// pipeline at all.
     pub fn pipeline(mut self, pipeline: PipelineSpec) -> Self {
-        self.pipeline = Some(pipeline);
+        self.scenario.pipeline = Some(pipeline);
         self
     }
 
@@ -634,7 +626,7 @@ impl FleetScenarioBuilder {
     /// when the host has more than one core; results are bit-identical
     /// in every mode, so this is purely a wall-clock knob.
     pub fn replay(mut self, replay: ReplayMode) -> Self {
-        self.replay = replay;
+        self.scenario.replay = replay;
         self
     }
 
@@ -643,17 +635,26 @@ impl FleetScenarioBuilder {
     /// # Errors
     ///
     /// Returns [`FleetError::InvalidScenario`] when the description is
-    /// contradictory (zero population, empty/non-positive mixes, zero
-    /// horizon, out-of-range tracker alpha, more shards than devices, …).
+    /// contradictory (zero population, empty/non-positive mixes, duplicate
+    /// region names, a duration outside the microsecond clock,
+    /// out-of-range tracker alpha, more shards than devices, …).
     pub fn build(self) -> Result<FleetScenario, FleetError> {
         let invalid = |why: &str| Err(FleetError::InvalidScenario(why.to_string()));
-        if self.population == 0 {
+        let s = &self.scenario;
+        if s.population == 0 {
             return invalid("population must be positive");
         }
-        if self.regions.is_empty() {
+        if s.regions.is_empty() {
             return invalid("at least one region is required");
         }
-        for share in &self.regions {
+        for (i, share) in s.regions.iter().enumerate() {
+            // Reports and metric series are keyed by region name.
+            let name = share.region.name();
+            if s.regions[..i].iter().any(|o| o.region.name() == name) {
+                return invalid(&format!(
+                    "duplicate region name {name:?} in the regional mix"
+                ));
+            }
             if !(share.weight.is_finite() && share.weight > 0.0) {
                 return invalid("region weights must be positive and finite");
             }
@@ -672,74 +673,58 @@ impl FleetScenarioBuilder {
         // already rejects NaN/∞/negative at construction, but zero and
         // sub-microsecond durations are representable and would round to
         // 0 µs inside the engine's checked ms→µs cast — collapsing the
-        // event clock (and dividing by zero at the epoch barrier).
-        if (self.horizon.get() * 1000.0).round() < 1.0 {
-            return invalid("horizon must be at least one microsecond");
+        // event clock (and dividing by zero at the epoch barrier) — and
+        // durations past 2^53 µs would saturate it.
+        for (what, ms) in [
+            ("horizon", s.horizon.get()),
+            ("trace interval", s.trace_interval.get()),
+            ("arrival period", s.arrival.mean_period_ms()),
+        ] {
+            let us = (ms * 1000.0).round();
+            if us < 1.0 {
+                return invalid(&format!("{what} must be at least one microsecond"));
+            }
+            if us > MAX_SPAN_US as f64 {
+                return invalid(&format!("{what} must be at most 2^53 µs"));
+            }
         }
-        if (self.trace_interval.get() * 1000.0).round() < 1.0 {
-            return invalid("trace interval must be at least one microsecond");
-        }
-        if (self.arrival.mean_period_ms() * 1000.0).round() < 1.0 {
-            return invalid("arrival period must be at least one microsecond");
-        }
-        if !(self.tracker_alpha > 0.0 && self.tracker_alpha <= 1.0) {
+        if !(s.tracker_alpha > 0.0 && s.tracker_alpha <= 1.0) {
             return invalid("tracker alpha must be in (0, 1]");
         }
-        if self.shards == 0 {
+        if s.shards == 0 {
             return invalid("at least one shard is required");
         }
-        if self.shards > self.population {
+        if s.shards > s.population {
             return invalid("more shards than devices");
         }
-        if let Err(why) = self.serving.validate() {
+        if let Err(why) = s.serving.validate() {
             return invalid(&why);
         }
-        if let Err(why) = self.telemetry.validate() {
+        if let Err(why) = s.telemetry.validate() {
             return invalid(&why);
         }
-        if let Some(curve) = &self.workload {
+        if let Some(curve) = &s.workload {
             if let Err(why) = curve.validate() {
                 return invalid(&why);
             }
         }
-        if let Some(deadline) = self.tail_deadline {
+        if let Some(deadline) = s.tail_deadline {
             if !(deadline.get().is_finite() && deadline.get() > 0.0) {
                 return invalid("tail deadline must be positive and finite");
             }
         }
-        if let Some(pipeline) = &self.pipeline {
+        if let Some(pipeline) = &s.pipeline {
             if let Err(why) = pipeline.validate() {
                 return invalid(&why);
             }
         }
-        let scenario = FleetScenario {
-            population: self.population,
-            regions: self.regions,
-            horizon: self.horizon,
-            trace_interval: self.trace_interval,
-            arrival: self.arrival,
-            serving: self.serving,
-            fidelity: self.fidelity,
-            policy: self.policy,
-            metric: self.metric,
-            tracker_alpha: self.tracker_alpha,
-            seed: self.seed,
-            shards: self.shards,
-            network: self.network.unwrap_or_else(lens_nn::zoo::alexnet),
-            device_profile: self.device_profile,
-            telemetry: self.telemetry,
-            workload: self.workload,
-            tail_deadline: self.tail_deadline,
-            replay: self.replay,
-            pipeline: self.pipeline,
-        };
         // A chained stage arrives one hop after its predecessor
         // completes, so a request's summed hops must fit the µs clock.
-        let pricing = scenario.pipeline_pricing();
+        let pricing = s.pipeline_pricing();
         if pricing.is_some_and(|p| p.max_total_us() > MAX_SPAN_US) {
             return invalid("pipeline transfers must sum to at most 2^53 µs on every uplink");
         }
-        Ok(scenario)
+        Ok(self.scenario)
     }
 }
 
@@ -1010,6 +995,49 @@ mod tests {
                     mean_interarrival: Millis::new(0.0),
                 }),
             ),
+            // Two regions with one name would share every name-keyed
+            // metric series and report line.
+            (
+                "duplicate region name \"USA\"",
+                FleetScenario::builder().regions(vec![
+                    RegionShare::new(Region::new("USA", Mbps::new(7.5)), 0.5),
+                    RegionShare::new(Region::new("Chile", Mbps::new(5.0)), 0.2),
+                    RegionShare::new(Region::new("USA", Mbps::new(7.5)), 0.3),
+                ]),
+            ),
+            // Finite in ms, yet past the µs clock: the ms→µs casts would
+            // saturate, and a region's curve shift would overflow.
+            (
+                "horizon must be at most 2^53 µs",
+                FleetScenario::builder().horizon(Millis::new(1e300)),
+            ),
+            (
+                "horizon must be at most 2^53 µs",
+                FleetScenario::builder().horizon(Millis::new(2.0 * SPAN_MS)),
+            ),
+            (
+                "trace interval must be at most 2^53 µs",
+                FleetScenario::builder().trace_interval(Millis::new(1e300)),
+            ),
+            (
+                "arrival period must be at most 2^53 µs",
+                FleetScenario::builder().arrival(ArrivalModel::Periodic {
+                    period: Millis::new(1e300),
+                }),
+            ),
+            (
+                "arrival period must be at most 2^53 µs",
+                FleetScenario::builder().arrival(ArrivalModel::Poisson {
+                    mean_interarrival: Millis::new(1e300),
+                }),
+            ),
+            (
+                "region offset must be at most 2^53 µs",
+                FleetScenario::builder().workload(WorkloadCurve::regional_wave(
+                    Millis::new(60_000.0),
+                    Millis::new(1e300),
+                )),
+            ),
         ];
         for (needle, builder) in cases {
             match builder.build() {
@@ -1019,6 +1047,28 @@ mod tests {
                 other => panic!("expected InvalidScenario({needle}), got {other:?}"),
             }
         }
+    }
+
+    /// 2^53 µs in ms: the longest duration the µs clock accepts.
+    const SPAN_MS: f64 = MAX_SPAN_US as f64 / 1000.0;
+
+    #[test]
+    fn durations_up_to_the_clock_span_build() {
+        let curve = WorkloadCurve::regional_wave(Millis::new(60_000.0), Millis::new(SPAN_MS));
+        let s = FleetScenario::builder()
+            .horizon(Millis::new(SPAN_MS))
+            .trace_interval(Millis::new(SPAN_MS))
+            .arrival(ArrivalModel::Poisson {
+                mean_interarrival: Millis::new(SPAN_MS),
+            })
+            .workload(curve)
+            .build()
+            .unwrap();
+        assert_eq!(s.horizon(), Millis::new(SPAN_MS));
+        // The last region's shift saturates instead of overflowing: its
+        // wave has not started.
+        let curve = s.workload().unwrap();
+        assert_eq!(curve.multiplier_fp(MAX_SPAN_US, usize::MAX), 250_000);
     }
 
     #[test]
