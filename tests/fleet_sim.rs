@@ -591,7 +591,7 @@ fn golden_scenarios() -> Vec<(&'static str, FleetScenario, Vec<Mechanism>)> {
         (
             "fluid_pipeline",
             build(base(Fluid, batched_serving()).pipeline(three_stage())),
-            vec![Stages],
+            vec![Failover, Stages],
         ),
         (
             "per_request_batched",
@@ -601,7 +601,7 @@ fn golden_scenarios() -> Vec<(&'static str, FleetScenario, Vec<Mechanism>)> {
         (
             "per_request_pipeline",
             build(base(PerRequest, batched_serving()).pipeline(three_stage())),
-            vec![Stages],
+            vec![Failover, Stages],
         ),
         (
             "per_request_poisson_autoscaled",
@@ -682,16 +682,76 @@ const GOLDEN_DIGESTS: [(&str, u64, u64, u64); 8] = [
     ),
 ];
 
-/// Absolute digest pins. Every other pin in the suite is relational
-/// (shard counts, replay modes, traced vs. untraced), so a change that
-/// moved every digest the same way would pass them all; these values
-/// catch it. Gated to the platform they were recorded on. A deliberate
-/// change re-pins in one step: the failure prints every actual value in
-/// the table's own syntax.
+/// One phase's whole-run work counters: `(events_popped, heap_ops,
+/// records_merged, batches_closed)`.
+type Work = (u64, u64, u64, u64);
+
+/// `(scenario, [shard step, drain, scale])` work counters, recorded on
+/// x86_64 Linux. No digest covers the profile, so these catch a refactor
+/// that does more work for the same result, such as an extra heap push
+/// per offload.
+const GOLDEN_WORK: [(&str, [Work; 3]); 8] = [
+    (
+        "fluid_single",
+        [(47260, 93020, 0, 0), (0, 0, 0, 15120), (0, 0, 0, 0)],
+    ),
+    (
+        "fluid_batched",
+        [(47260, 93020, 0, 0), (0, 0, 0, 2196), (0, 0, 0, 0)],
+    ),
+    (
+        "fluid_autoscaled",
+        [(47260, 93020, 0, 0), (0, 0, 0, 8440), (0, 0, 0, 0)],
+    ),
+    (
+        "fluid_pipeline",
+        [(47260, 93020, 0, 0), (0, 0, 0, 2124), (0, 0, 0, 0)],
+    ),
+    (
+        "per_request_batched",
+        [
+            (47260, 93020, 0, 0),
+            (2204, 4408, 32448, 2198),
+            (0, 0, 0, 0),
+        ],
+    ),
+    (
+        "per_request_pipeline",
+        [
+            (47260, 93020, 0, 0),
+            (40334, 80668, 18326, 3676),
+            (0, 0, 0, 0),
+        ],
+    ),
+    (
+        "per_request_poisson_autoscaled",
+        [
+            (47431, 93362, 0, 0),
+            (10862, 21712, 44697, 7249),
+            (0, 12, 0, 0),
+        ],
+    ),
+    (
+        "per_request_closed_loop",
+        [
+            (47260, 93020, 0, 0),
+            (24239, 48463, 8745, 4505),
+            (0, 15, 0, 0),
+        ],
+    ),
+];
+
+/// Absolute digest and work-count pins. Every other pin in the suite is
+/// relational (shard counts, replay modes, traced vs. untraced), so a
+/// change that moved every digest the same way would pass them all; these
+/// values catch it. Gated to the platform they were recorded on. A
+/// deliberate change re-pins in one step: the failure prints every actual
+/// value in the table's own syntax.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 #[test]
 fn golden_digests_are_unchanged() {
     let mut actual = Vec::new();
+    let mut work = Vec::new();
     for (name, scenario, mechanisms) in golden_scenarios() {
         let (report, telemetry) = FleetEngine::new(scenario)
             .expect("engine builds")
@@ -709,6 +769,28 @@ fn golden_digests_are_unchanged() {
             telemetry.trace_digest(),
             telemetry.metrics_digest(),
         ));
+        let counts = |phase| {
+            let c = telemetry.profile.phase(phase);
+            (
+                c.events_popped,
+                c.heap_ops,
+                c.records_merged,
+                c.batches_closed,
+            )
+        };
+        assert_eq!(
+            counts(BarrierPhase::Publish),
+            (0, 0, 0, 0),
+            "{name}: publishing copies signals and does no counted work"
+        );
+        work.push((
+            name,
+            [
+                counts(BarrierPhase::ShardStep),
+                counts(BarrierPhase::Drain),
+                counts(BarrierPhase::Scale),
+            ],
+        ));
     }
     let table: String = actual
         .iter()
@@ -719,5 +801,15 @@ fn golden_digests_are_unchanged() {
     assert!(
         actual == GOLDEN_DIGESTS,
         "golden digests moved; the actual values are:\n{table}"
+    );
+    let work_table: String = work
+        .iter()
+        .map(|(name, [step, drain, scale])| {
+            format!("    (\"{name}\", [{step:?}, {drain:?}, {scale:?}]),\n")
+        })
+        .collect();
+    assert!(
+        work == GOLDEN_WORK,
+        "golden work counts moved; the actual values are:\n{work_table}"
     );
 }
