@@ -1253,8 +1253,10 @@ pub struct OffloadRequest {
     pub origin_region: u32,
     /// Whether this request reached the serving region via failover.
     pub failed_over: bool,
-    /// Device-side latency (ms): comm + compute, *without* any cloud
-    /// queueing — the microsim supplies that part.
+    /// Latency before this request's cloud sojourn (ms): the device's
+    /// comm and compute, plus the inter-region penalty after a failover —
+    /// and, for a chained stage, every earlier stage's sojourn and
+    /// transfer, which the microsim adds when it chains the stage.
     pub base_latency_ms: f64,
     /// Edge energy of the inference (mJ).
     pub energy_mj: f64,

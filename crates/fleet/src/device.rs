@@ -17,7 +17,7 @@
 //! to the least-loaded sibling region or falls back to the device's
 //! local-only deployment option.
 
-use crate::cloud::{CloudSimFidelity, DispatchPolicy, FailoverPolicy, RegionSignal};
+use crate::cloud::{DispatchPolicy, FailoverPolicy, RegionSignal};
 use crate::scenario::{FleetPolicy, WorkloadCurve, CURVE_FP_SCALE};
 use crate::{mix_seed, FleetError};
 use lens_nn::units::Mbps;
@@ -72,19 +72,15 @@ impl Cohort {
 }
 
 /// The scenario-wide knobs every [`Device::serve_with_sample`] call
-/// needs: the switching policy, the metric it optimizes, where shed
-/// requests go, and which cloud model prices the queueing.
+/// needs: the switching policy, the metric it optimizes, and where shed
+/// requests go. Nothing here prices the cloud: the device decides where
+/// an inference runs, and the region tier charges the cloud's share of
+/// an offload when it books it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ServeContext<'a> {
     pub policy: &'a FleetPolicy,
     pub metric: Metric,
     pub failover: FailoverPolicy,
-    /// Under [`CloudSimFidelity::Fluid`] the device charges the published
-    /// epoch wait to its offloaded latency; under
-    /// [`CloudSimFidelity::PerRequest`] it leaves the cloud part out — the
-    /// microsimulation supplies the exact per-request sojourn at the
-    /// barrier, and the engine completes the record then.
-    pub fidelity: CloudSimFidelity,
     /// The serving tier's dispatch policy. Under
     /// [`DispatchPolicy::CostAware`], sibling failover targets the region
     /// with the smallest published marginal cost (wait breaks ties)
@@ -99,18 +95,14 @@ pub(crate) struct ServeContext<'a> {
     /// epoch p99 exceeds it, offload-bound requests retreat to the
     /// local-only option (a hash-spread fraction still probes the tier).
     pub tail_deadline_ms: Option<f64>,
-    /// Staged-pipeline pricing for the **fluid** tier, when the scenario
-    /// stages offloads: `(depth, per-origin-region total transfer ms)`.
-    /// A fluid offload then charges the published wait once per stage
-    /// plus its origin region's summed hop transfers. `None` under the
-    /// per-request fidelity even when the scenario is staged — there the
-    /// barrier chains real stage requests and prices each hop exactly.
-    pub pipeline: Option<(u32, &'a [f64])>,
 }
 
 /// What one served inference cost, for aggregation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Served {
+    /// End-to-end latency (ms). From the device, an offload's latency is
+    /// only the device's share — its chosen option's compute and
+    /// transfers; the region tier adds the cloud's when it books it.
     pub latency_ms: f64,
     pub energy_mj: f64,
     /// Whether the inference occupied cloud capacity (its own region's or,
@@ -252,9 +244,11 @@ impl Device {
     /// tracker only steers the choice, as in the Fig 5 loop).
     ///
     /// `signals` is the barrier-published per-region state for this epoch:
-    /// queue waits are charged to the realized latency of offloaded
-    /// options, congestion-aware policies also weigh them during selection
-    /// on the latency metric, and the shed fraction gates admission.
+    /// congestion-aware policies weigh the queue waits during selection
+    /// on the latency metric, failover picks its sibling by them, and the
+    /// shed fraction gates admission. An offload's latency is the chosen
+    /// option's own: the region tier adds the cloud's share when it books
+    /// the offload.
     ///
     /// The engine's shard step reads `tu` from its epoch-major sample
     /// arena, where all of an epoch's reads land in one contiguous row.
@@ -269,19 +263,12 @@ impl Device {
         self.tracker.observe(tu);
         let estimate = self.tracker.estimate().expect("just observed");
         let own = &signals[cohort.region_index];
-        let queue_wait_ms = own.wait_ms(self.high_priority);
-        // Fluid staged pipelines experience the published wait once per
-        // stage; `1.0` (monolithic, or per-request fidelity) multiplies
-        // exactly, so the historical arithmetic is bit-identical.
-        let fluid_stages = match ctx.pipeline {
-            Some((depth, _)) if ctx.fidelity == CloudSimFidelity::Fluid => f64::from(depth),
-            _ => 1.0,
-        };
 
         let choice = match ctx.policy {
             FleetPolicy::Fixed(_) => cohort.fixed_index.expect("resolved at engine build"),
             FleetPolicy::Dynamic => cohort.map.best_at(estimate),
             FleetPolicy::DynamicCongestionAware => {
+                let queue_wait_ms = own.wait_ms(self.high_priority);
                 if ctx.metric == Metric::Latency && queue_wait_ms > 0.0 {
                     DeploymentPlanner::best_at_with_cloud_penalty(
                         &cohort.options,
@@ -305,8 +292,6 @@ impl Device {
 
         let option = &cohort.options[choice];
         let mut offloaded = option.uses_cloud();
-        let mut latency_ms = option.latency_at(tu).get();
-        let mut energy_mj = option.energy_at(tu).get();
         let mut shed_to_local = false;
         let mut failover_region = None;
         let mut retreated = false;
@@ -324,15 +309,7 @@ impl Device {
                     && mix_seed(mix_seed(self.shed_seed, CURVE_SALT), time_us)
                         % (CURVE_FP_SCALE as u64)
                         >= multiplier_fp as u64;
-                if suppressed {
-                    let local = cohort
-                        .local_index
-                        .expect("validated at engine build: local fallback exists");
-                    let fallback = &cohort.options[local];
-                    latency_ms = fallback.latency_at(tu).get();
-                    energy_mj = fallback.energy_at(tu).get();
-                    offloaded = false;
-                }
+                offloaded = !suppressed;
             }
         }
 
@@ -345,18 +322,9 @@ impl Device {
         if offloaded {
             if let (Some(budget_ms), Some(p99_ms)) = (ctx.tail_deadline_ms, own.p99_ms) {
                 if p99_ms > budget_ms {
-                    let probes = mix_seed(self.shed_seed ^ RETREAT_SALT, time_us)
+                    retreated = !mix_seed(self.shed_seed ^ RETREAT_SALT, time_us)
                         .is_multiple_of(RETREAT_REPROBE_DIV);
-                    if !probes {
-                        let local = cohort
-                            .local_index
-                            .expect("validated at engine build: local fallback exists");
-                        let fallback = &cohort.options[local];
-                        latency_ms = fallback.latency_at(tu).get();
-                        energy_mj = fallback.energy_at(tu).get();
-                        offloaded = false;
-                        retreated = true;
-                    }
+                    offloaded = !retreated;
                 }
             }
         }
@@ -364,17 +332,11 @@ impl Device {
         if offloaded {
             let shed = own.shed_fraction > 0.0
                 && unit_from(mix_seed(self.shed_seed, time_us)) < own.shed_fraction;
-            if !shed {
-                // Per-request fidelity: the microsim computes the exact
-                // sojourn at the barrier instead of the fluid estimate.
-                if ctx.fidelity == CloudSimFidelity::Fluid {
-                    latency_ms += queue_wait_ms * fluid_stages;
-                }
-            } else {
+            if shed {
                 // Shed: try a sibling region if configured, else run local.
-                let sibling = match ctx.failover {
+                failover_region = match ctx.failover {
                     FailoverPolicy::ToDevice => None,
-                    FailoverPolicy::SiblingRegion { penalty_ms } => signals
+                    FailoverPolicy::SiblingRegion { .. } => signals
                         .iter()
                         .enumerate()
                         .filter(|&(r, _)| r != cohort.region_index)
@@ -416,52 +378,26 @@ impl Device {
                                         .cmp(&mix_seed(self.shed_seed ^ *rb as u64, time_us))
                                 })
                         })
-                        .map(|(r, s)| {
-                            // Fluid mode prices the sibling's published
-                            // wait here; per-request mode only charges the
-                            // inter-region penalty — the request joins the
-                            // sibling's microsim queue for the rest.
-                            let wait = match ctx.fidelity {
-                                CloudSimFidelity::Fluid => s.wait_ms(self.high_priority),
-                                CloudSimFidelity::PerRequest => 0.0,
-                            };
-                            // Staged fluid offloads wait at every stage;
-                            // the inter-region penalty is paid once (the
-                            // whole chain serves in the sibling).
-                            (r, wait * fluid_stages + penalty_ms)
-                        }),
+                        .map(|(r, _)| r as u32),
                 };
-                match sibling {
-                    Some((dest, extra_ms)) => {
-                        latency_ms += extra_ms;
-                        failover_region = Some(dest as u32);
-                    }
-                    None => {
-                        let local = cohort
-                            .local_index
-                            .expect("validated at engine build: local fallback exists");
-                        let fallback = &cohort.options[local];
-                        latency_ms = fallback.latency_at(tu).get();
-                        energy_mj = fallback.energy_at(tu).get();
-                        offloaded = false;
-                        shed_to_local = true;
-                    }
-                }
+                offloaded = failover_region.is_some();
+                shed_to_local = !offloaded;
             }
         }
-        // A staged fluid offload also pays its origin region's summed
-        // inter-stage transfers (priced on the origin uplink even after
-        // failover — the activations leave the device's network).
-        if offloaded {
-            if let Some((_, transfer_total_ms)) = ctx.pipeline {
-                if ctx.fidelity == CloudSimFidelity::Fluid {
-                    latency_ms += transfer_total_ms[cohort.region_index];
-                }
-            }
-        }
+
+        // A cloud-bound request that stays on the device — suppressed,
+        // retreated or shed — runs the cohort's local-only option.
+        let runs = if option.uses_cloud() && !offloaded {
+            let local = cohort
+                .local_index
+                .expect("validated at engine build: local fallback exists");
+            &cohort.options[local]
+        } else {
+            option
+        };
         Served {
-            latency_ms,
-            energy_mj,
+            latency_ms: runs.latency_at(tu).get(),
+            energy_mj: runs.energy_at(tu).get(),
             offloaded,
             switched,
             shed_to_local,
@@ -517,6 +453,22 @@ mod tests {
         }
     }
 
+    /// The context the tests start from: shed requests go back to the
+    /// device, least-work dispatch, no curve and no tail deadline.
+    fn ctx(policy: &FleetPolicy, metric: Metric) -> ServeContext<'_> {
+        ServeContext {
+            policy,
+            metric,
+            failover: FailoverPolicy::ToDevice,
+            dispatch: DispatchPolicy::LeastWorkLeft,
+            curve: None,
+            tail_deadline_ms: None,
+        }
+    }
+
+    /// Sibling failover with a 40 ms inter-region penalty.
+    const SIBLING: FailoverPolicy = FailoverPolicy::SiblingRegion { penalty_ms: 40.0 };
+
     #[test]
     fn resolve_fixed_finds_kinds() {
         let c = cohort(Metric::Energy);
@@ -538,16 +490,7 @@ mod tests {
         let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
-            ServeContext {
-                policy: &FleetPolicy::Dynamic,
-                metric: Metric::Energy,
-                failover: FailoverPolicy::ToDevice,
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
-            },
+            ctx(&FleetPolicy::Dynamic, Metric::Energy),
             &calm(1),
             0,
             Mbps::new(8.0),
@@ -576,16 +519,7 @@ mod tests {
         let mut d = Device::new(0, false, 1.0, 1);
         let base = d.serve_with_sample(
             &fixed_cloud,
-            ServeContext {
-                policy: &policy,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::ToDevice,
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
-            },
+            ctx(&policy, Metric::Latency),
             &calm(1),
             0,
             Mbps::new(8.0),
@@ -593,36 +527,22 @@ mod tests {
         let mut d = Device::new(0, false, 1.0, 1);
         let queued = d.serve_with_sample(
             &fixed_cloud,
-            ServeContext {
-                policy: &policy,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::ToDevice,
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
-            },
+            ctx(&policy, Metric::Latency),
             &waiting(500.0),
             0,
             Mbps::new(8.0),
         );
-        assert!((queued.latency_ms - base.latency_ms - 500.0).abs() < 1e-9);
-        assert!((queued.energy_mj - base.energy_mj).abs() < 1e-12);
+        // The device prices only its own share; the tier books the wait
+        // (`replay::tests::fluid_book_charges_waits_penalty_and_transfers`).
+        let cloud = &fixed_cloud.options[fixed_cloud.fixed_index.unwrap()];
+        assert!(queued.offloaded);
+        assert_eq!(queued.latency_ms, cloud.latency_at(Mbps::new(8.0)).get());
+        assert_eq!(queued, base);
 
         let mut d = Device::new(0, false, 1.0, 1);
         let edge = d.serve_with_sample(
             &fixed_edge,
-            ServeContext {
-                policy: &policy,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::ToDevice,
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
-            },
+            ctx(&policy, Metric::Latency),
             &waiting(500.0),
             0,
             Mbps::new(8.0),
@@ -630,21 +550,13 @@ mod tests {
         let mut d = Device::new(0, false, 1.0, 1);
         let edge_q = d.serve_with_sample(
             &fixed_edge,
-            ServeContext {
-                policy: &policy,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::ToDevice,
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
-            },
+            ctx(&policy, Metric::Latency),
             &calm(1),
             0,
             Mbps::new(8.0),
         );
         assert!((edge.latency_ms - edge_q.latency_ms).abs() < 1e-12);
+        assert!(!edge.offloaded);
     }
 
     #[test]
@@ -654,16 +566,7 @@ mod tests {
         let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
-            ServeContext {
-                policy: &FleetPolicy::DynamicCongestionAware,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::ToDevice,
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
-            },
+            ctx(&FleetPolicy::DynamicCongestionAware, Metric::Latency),
             &calm(1),
             0,
             Mbps::new(50.0),
@@ -673,16 +576,7 @@ mod tests {
         let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
-            ServeContext {
-                policy: &FleetPolicy::DynamicCongestionAware,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::ToDevice,
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
-            },
+            ctx(&FleetPolicy::DynamicCongestionAware, Metric::Latency),
             &waiting(3.6e6),
             0,
             Mbps::new(50.0),
@@ -703,16 +597,7 @@ mod tests {
         let mut d = Device::new(0, false, 1.0, 1);
         let served = d.serve_with_sample(
             &c,
-            ServeContext {
-                policy: &policy,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::ToDevice,
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
-            },
+            ctx(&policy, Metric::Latency),
             &signals,
             0,
             Mbps::new(8.0),
@@ -737,16 +622,7 @@ mod tests {
             let mut d2 = Device::new(0, false, 1.0, 1);
             d2.serve_with_sample(
                 &c,
-                ServeContext {
-                    policy: &policy,
-                    metric: Metric::Latency,
-                    failover: FailoverPolicy::ToDevice,
-                    fidelity: CloudSimFidelity::Fluid,
-                    dispatch: DispatchPolicy::LeastWorkLeft,
-                    curve: None,
-                    tail_deadline_ms: None,
-                    pipeline: None,
-                },
+                ctx(&policy, Metric::Latency),
                 &calm(3),
                 0,
                 Mbps::new(8.0),
@@ -755,14 +631,8 @@ mod tests {
         let served = d.serve_with_sample(
             &c,
             ServeContext {
-                policy: &policy,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::SiblingRegion { penalty_ms: 40.0 },
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
+                failover: SIBLING,
+                ..ctx(&policy, Metric::Latency)
             },
             &signals,
             0,
@@ -771,8 +641,9 @@ mod tests {
         assert_eq!(served.failover_region, Some(2));
         assert!(served.offloaded, "failover still occupies cloud capacity");
         assert!(!served.shed_to_local);
-        // Charged the sibling's wait plus the inter-region penalty.
-        assert!((served.latency_ms - base.latency_ms - 240.0).abs() < 1e-9);
+        // The device returns the option's own latency; the tier books the
+        // sibling's wait plus the inter-region penalty.
+        assert_eq!(served.latency_ms, base.latency_ms);
         assert!((served.energy_mj - base.energy_mj).abs() < 1e-12);
     }
 
@@ -799,14 +670,9 @@ mod tests {
             d.serve_with_sample(
                 &c,
                 ServeContext {
-                    policy: &policy,
-                    metric: Metric::Latency,
-                    failover: FailoverPolicy::SiblingRegion { penalty_ms: 40.0 },
-                    fidelity: CloudSimFidelity::Fluid,
+                    failover: SIBLING,
                     dispatch,
-                    curve: None,
-                    tail_deadline_ms: None,
-                    pipeline: None,
+                    ..ctx(&policy, Metric::Latency)
                 },
                 &signals,
                 0,
@@ -820,10 +686,11 @@ mod tests {
         let cost_aware = serve(DispatchPolicy::CostAware);
         assert_eq!(cost_aware.failover_region, Some(2));
         assert!(cost_aware.offloaded);
-        assert!(
-            cost_aware.latency_ms > least_work.latency_ms,
-            "the cheap sibling charges its 400 ms wait"
-        );
+        // Either way the device returns the option's own latency; the
+        // tier books the cheap sibling's 400 ms wait.
+        let own = c.options[c.fixed_index.unwrap()].latency_at(Mbps::new(8.0));
+        assert_eq!(cost_aware.latency_ms, own.get());
+        assert_eq!(least_work.latency_ms, own.get());
     }
 
     #[test]
@@ -849,14 +716,9 @@ mod tests {
         let served = d.serve_with_sample(
             &c,
             ServeContext {
-                policy: &policy,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::SiblingRegion { penalty_ms: 40.0 },
-                fidelity: CloudSimFidelity::Fluid,
+                failover: SIBLING,
                 dispatch: DispatchPolicy::CostAware,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
+                ..ctx(&policy, Metric::Latency)
             },
             &signals,
             0,
@@ -877,14 +739,8 @@ mod tests {
         let served = d.serve_with_sample(
             &c,
             ServeContext {
-                policy: &policy,
-                metric: Metric::Latency,
-                failover: FailoverPolicy::SiblingRegion { penalty_ms: 40.0 },
-                fidelity: CloudSimFidelity::Fluid,
-                dispatch: DispatchPolicy::LeastWorkLeft,
-                curve: None,
-                tail_deadline_ms: None,
-                pipeline: None,
+                failover: SIBLING,
+                ..ctx(&policy, Metric::Latency)
             },
             &signals,
             0,
@@ -906,16 +762,7 @@ mod tests {
                 let mut d = Device::new(0, false, 1.0, dev);
                 let s = d.serve_with_sample(
                     &c,
-                    ServeContext {
-                        policy: &policy,
-                        metric: Metric::Latency,
-                        failover: FailoverPolicy::ToDevice,
-                        fidelity: CloudSimFidelity::Fluid,
-                        dispatch: DispatchPolicy::LeastWorkLeft,
-                        curve: None,
-                        tail_deadline_ms: None,
-                        pipeline: None,
-                    },
+                    ctx(&policy, Metric::Latency),
                     &signals,
                     0,
                     Mbps::new(8.0),
@@ -943,16 +790,7 @@ mod tests {
         for (i, &tu) in (0u64..).zip(&samples) {
             let s = d.serve_with_sample(
                 &c,
-                ServeContext {
-                    policy: &FleetPolicy::Dynamic,
-                    metric: Metric::Energy,
-                    failover: FailoverPolicy::ToDevice,
-                    fidelity: CloudSimFidelity::Fluid,
-                    dispatch: DispatchPolicy::LeastWorkLeft,
-                    curve: None,
-                    tail_deadline_ms: None,
-                    pipeline: None,
-                },
+                ctx(&FleetPolicy::Dynamic, Metric::Energy),
                 &calm(1),
                 i * 60_000_000,
                 tu,
@@ -1064,23 +902,6 @@ mod tests {
         (c, FleetPolicy::Fixed(DeploymentKind::AllCloud))
     }
 
-    fn ctx_with<'a>(
-        policy: &'a FleetPolicy,
-        curve: Option<&'a WorkloadCurve>,
-        tail_deadline_ms: Option<f64>,
-    ) -> ServeContext<'a> {
-        ServeContext {
-            policy,
-            metric: Metric::Latency,
-            failover: FailoverPolicy::ToDevice,
-            fidelity: CloudSimFidelity::Fluid,
-            dispatch: DispatchPolicy::LeastWorkLeft,
-            curve,
-            tail_deadline_ms,
-            pipeline: None,
-        }
-    }
-
     #[test]
     fn tail_retreat_pins_each_p99_branch() {
         let (c, policy) = all_cloud(Metric::Latency);
@@ -1092,7 +913,10 @@ mod tests {
             let mut d = Device::new(0, false, 1.0, seed);
             d.serve_with_sample(
                 &c,
-                ctx_with(&policy, None, deadline),
+                ServeContext {
+                    tail_deadline_ms: deadline,
+                    ..ctx(&policy, Metric::Latency)
+                },
                 &signals,
                 0,
                 Mbps::new(8.0),
@@ -1137,45 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn fluid_pipeline_charges_per_stage_waits_and_origin_transfers() {
-        let (c, policy) = all_cloud(Metric::Latency);
-        let transfer_total_ms = [12.5f64];
-        let serve_one = |pipeline: Option<(u32, &[f64])>, signals: &[RegionSignal]| {
-            let mut d = Device::new(0, false, 1.0, 1);
-            d.serve_with_sample(
-                &c,
-                ServeContext {
-                    policy: &policy,
-                    metric: Metric::Latency,
-                    failover: FailoverPolicy::ToDevice,
-                    fidelity: CloudSimFidelity::Fluid,
-                    dispatch: DispatchPolicy::LeastWorkLeft,
-                    curve: None,
-                    tail_deadline_ms: None,
-                    pipeline,
-                },
-                signals,
-                0,
-                Mbps::new(8.0),
-            )
-        };
-        // Idle tier: the staged offload only pays its transfers.
-        let mono = serve_one(None, &calm(1));
-        let staged = serve_one(Some((3, &transfer_total_ms)), &calm(1));
-        assert!(staged.offloaded && mono.offloaded);
-        assert!((staged.latency_ms - mono.latency_ms - 12.5).abs() < 1e-9);
-        // A 100 ms published wait is charged once per stage (3×), plus
-        // the transfers; the monolithic path pays it once.
-        let mono_q = serve_one(None, &waiting(100.0));
-        let staged_q = serve_one(Some((3, &transfer_total_ms)), &waiting(100.0));
-        assert!((mono_q.latency_ms - mono.latency_ms - 100.0).abs() < 1e-9);
-        assert!((staged_q.latency_ms - staged.latency_ms - 300.0).abs() < 1e-9);
-        // Depth 1 with zero transfers is bit-identical to monolithic.
-        let degenerate = serve_one(Some((1, &[0.0])), &waiting(100.0));
-        assert_eq!(degenerate, mono_q);
-    }
-
-    #[test]
     fn workload_curve_suppression_is_deterministic_and_proportional() {
         let (c, policy) = all_cloud(Metric::Latency);
         // A single-phase curve at 30% intent: ≈30% of devices offload, the
@@ -1187,7 +972,10 @@ mod tests {
                 let mut d = Device::new(0, false, 1.0, dev);
                 let s = d.serve_with_sample(
                     &c,
-                    ctx_with(&policy, Some(curve), None),
+                    ServeContext {
+                        curve: Some(curve),
+                        ..ctx(&policy, Metric::Latency)
+                    },
                     &calm(1),
                     0,
                     Mbps::new(8.0),

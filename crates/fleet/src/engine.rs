@@ -22,19 +22,20 @@
 //! is unchanged. Poisson shards keep id order. The arena is the only copy
 //! of the samples: each synthesized trace is written into it and dropped.
 //!
-//! Both cloud fidelities run through **one barrier loop**
-//! (`FleetEngine::run_tier`). At each barrier every region's replay
-//! worker serves the epoch's offloads: the fluid tier admits merged
-//! offload counts, dispatches them across the region's backends by
-//! (cost-weighted) water-filling and drains them as batch-amortized
-//! epoch aggregates; the per-request tier replays every offloaded
-//! request through the region's microsim. The `RegionTier` trait in
-//! `src/replay.rs` holds that difference, and the fidelity is matched
-//! once, where the workers are built. The shard step still branches on
-//! fidelity in two places: `advance_shard` books a fluid offload at once
-//! but defers a per-request one as an [`OffloadRequest`], and the device
-//! charges the published wait and the staged transfers only under fluid
-//! (`ServeContext::{fidelity, pipeline}`). The barrier
+//! Both cloud fidelities run through **one shard step and one barrier
+//! loop** (`FleetEngine::run_tier`), generic over the `RegionTier` trait
+//! in `src/replay.rs`, which holds every difference between them; the
+//! fidelity is matched once, where the workers are built. In the shard
+//! step a device decides where each inference runs and prices only its
+//! own share, and the tier books every offload: the fluid tier charges
+//! the published wait (once per pipeline stage) and the staged transfers
+//! at once and counts the stages into the epoch's arrivals, while the
+//! per-request tier defers an [`OffloadRequest`] to the barrier. At each
+//! barrier every region's worker serves the epoch's offloads: the fluid
+//! tier admits the merged counts, dispatches them across the region's
+//! backends by (cost-weighted) water-filling and drains them as
+//! batch-amortized epoch aggregates; the per-request tier replays every
+//! deferred request through the region's microsim. The barrier
 //! phases are strictly ordered — **drain → scale → publish** — in both
 //! fidelity modes: autoscalers adjust live slot counts *before* the next
 //! epoch's [`RegionSignal`]s (per-class waits, the admission
@@ -45,11 +46,13 @@
 //! scenario's [`ReplayMode`](crate::scenario::ReplayMode) resolves so —
 //! with results merged in fixed region order.
 
-use crate::cloud::{CloudSimFidelity, OffloadRequest, QueueDiscipline, RegionSignal};
+use crate::cloud::{
+    CloudSimFidelity, FailoverPolicy, OffloadRequest, QueueDiscipline, RegionSignal,
+};
 use crate::device::{Device, ServeContext};
 use crate::pipeline::PipelinePricing;
 use crate::replay::{
-    replay_in_parallel, run_barrier, FluidRegionReplay, PerRequestRegionReplay,
+    replay_in_parallel, run_barrier, CloudCharge, FluidRegionReplay, PerRequestRegionReplay,
     RegionBarrierOutput, RegionTier,
 };
 use crate::report::FleetReport;
@@ -108,13 +111,16 @@ struct ShardState {
 
 /// What one shard contributes to an epoch barrier.
 pub(crate) struct ShardEpochOutput {
-    /// Per-region (high, low) offload counts — the fluid tier's feed.
+    /// Per-region (high, low) stage arrivals the fluid tier booked — its
+    /// feed at the barrier.
     pub(crate) arrivals: Vec<(u64, u64)>,
-    /// Per-destination-region offloaded requests, in shard-local event
-    /// order — each run is therefore already sorted by the unique
+    /// Per-destination-region offloaded requests the per-request tier
+    /// deferred to its barrier replay, in shard-local event order — each
+    /// run is therefore already sorted by the unique
     /// `(arrival_us, device_id, stage)` key, which is what lets the barrier
     /// k-way merge runs instead of re-sorting
-    /// ([`crate::replay::merge_requests`]). Empty under fluid fidelity.
+    /// ([`crate::replay::merge_requests`]). The fluid tier books every
+    /// offload at once and leaves them empty.
     pub(crate) requests: Vec<Vec<OffloadRequest>>,
     /// Device-side trace events in shard-local event order (empty when
     /// untraced); the barrier merges them by `(time_us, device_id)`.
@@ -465,8 +471,9 @@ impl FleetEngine {
     /// The barrier loop both fidelities share, generic over the event
     /// sink and the region tier. Each epoch the shards advance in
     /// parallel, then every region's worker serves, scales and publishes
-    /// at the barrier; `T` holds the barrier code that differs between
-    /// the fidelities.
+    /// at the barrier; `T` holds the code that differs between the
+    /// fidelities — the shards book their offloads through it, and its
+    /// workers serve them.
     fn run_tier<S: Sink, T: RegionTier>(
         &self,
         sink: &mut S,
@@ -508,7 +515,7 @@ impl FleetEngine {
                 region.push(s.wait_low_ms);
             }
 
-            self.advance_epoch(
+            self.advance_epoch::<T>(
                 &mut shard_states,
                 &signals,
                 pricing,
@@ -675,9 +682,10 @@ impl FleetEngine {
     }
 
     /// Phase A: every shard advances its event queue to the barrier in
-    /// parallel, filling its reusable epoch scratch in place. `trace`
-    /// asks shards to also emit device events and work counters.
-    fn advance_epoch(
+    /// parallel, filling its reusable epoch scratch in place and booking
+    /// its offloads through the tier `T`. `trace` asks shards to also
+    /// emit device events and work counters.
+    fn advance_epoch<T: RegionTier>(
         &self,
         shard_states: &mut [ShardState],
         signals: &[RegionSignal],
@@ -687,58 +695,47 @@ impl FleetEngine {
         trace: bool,
     ) {
         let scenario = &self.scenario;
-        let num_regions = scenario.regions.len();
         let horizon_us = to_us(scenario.horizon.get());
         let step = ArrivalStep::of(&scenario.arrival);
-        // Loop-invariant serve context, built once per epoch instead of
-        // once per event. Only the fluid tier prices pipeline stages at
-        // the device (the per-request barrier chains real stage
-        // requests instead).
+        // Loop-invariant serve context and cloud charge, built once per
+        // epoch instead of once per event.
         let ctx = ServeContext {
             policy: &scenario.policy,
             metric: scenario.metric,
             failover: scenario.serving.failover,
-            fidelity: scenario.fidelity,
             dispatch: scenario.serving.dispatch,
             curve: scenario.workload(),
             tail_deadline_ms: scenario.tail_deadline().map(|d| d.get()),
-            pipeline: pricing
-                .filter(|_| scenario.fidelity == CloudSimFidelity::Fluid)
-                .map(|p| (p.depth, p.total_ms.as_slice())),
         };
-        if let [state] = shard_states {
-            // Single shard: skip the per-epoch spawn/join round trip —
-            // the loop body is identical either way.
-            advance_shard(
+        let charge = CloudCharge {
+            signals,
+            pricing,
+            penalty_ms: match scenario.serving.failover {
+                FailoverPolicy::SiblingRegion { penalty_ms } => penalty_ms,
+                FailoverPolicy::ToDevice => 0.0,
+            },
+        };
+        let advance = |state: &mut ShardState| {
+            advance_shard::<T>(
                 state,
                 &self.cohorts,
                 ctx,
-                signals,
-                num_regions,
+                &charge,
                 epoch_index,
                 epoch_end,
                 horizon_us,
                 step,
                 trace,
             );
+        };
+        if let [state] = shard_states {
+            // Single shard: skip the per-epoch spawn/join round trip.
+            advance(state);
             return;
         }
         std::thread::scope(|scope| {
             for state in shard_states.iter_mut() {
-                scope.spawn(move || {
-                    advance_shard(
-                        state,
-                        &self.cohorts,
-                        ctx,
-                        signals,
-                        num_regions,
-                        epoch_index,
-                        epoch_end,
-                        horizon_us,
-                        step,
-                        trace,
-                    )
-                });
+                scope.spawn(move || advance(state));
             }
         });
     }
@@ -747,7 +744,6 @@ impl FleetEngine {
         let scenario = &self.scenario;
         let region_names = scenario.region_names();
         let num_regions = scenario.regions.len();
-        let per_request = scenario.fidelity == CloudSimFidelity::PerRequest;
         let population = scenario.population;
         let shards = scenario.shards;
         let base = population / shards;
@@ -797,10 +793,7 @@ impl FleetEngine {
                             ids,
                             epoch: ShardEpochOutput {
                                 arrivals: vec![(0, 0); num_regions],
-                                requests: vec![
-                                    Vec::new();
-                                    if per_request { num_regions } else { 0 }
-                                ],
+                                requests: vec![Vec::new(); num_regions],
                                 events: Vec::new(),
                                 counters: PhaseCounters::default(),
                             },
@@ -983,26 +976,23 @@ fn flush_barrier_outputs<S: Sink>(
     });
 }
 
-/// Advances one shard's event queue to `epoch_end`, filling the shard's
-/// epoch scratch with the per-region (high, low) offload counts this
-/// epoch contributed — failed over requests count toward their
-/// *destination* region's queue — and, under per-request fidelity, the
-/// offloaded requests themselves (their records are deferred until the
-/// microsim completes them).
+/// Advances one shard's event queue to `epoch_end`. Local serves are
+/// recorded in the shard's report; every offload goes to the tier `T` as
+/// one [`OffloadRequest`] bound for its *destination* region (a failed
+/// over request serves in the sibling), and `T` books it into the
+/// shard's epoch scratch.
 #[allow(clippy::too_many_arguments)]
-fn advance_shard(
+fn advance_shard<T: RegionTier>(
     state: &mut ShardState,
     cohorts: &[Cohort],
     ctx: ServeContext<'_>,
-    signals: &[RegionSignal],
-    num_regions: usize,
+    charge: &CloudCharge<'_>,
     epoch_index: usize,
     epoch_end: u64,
     horizon_us: u64,
     step: ArrivalStep,
     trace: bool,
 ) {
-    let per_request = ctx.fidelity == CloudSimFidelity::PerRequest;
     let ShardState {
         devices,
         queue,
@@ -1011,7 +1001,7 @@ fn advance_shard(
         ids,
         epoch: output,
     } = state;
-    debug_assert_eq!(output.arrivals.len(), num_regions);
+    debug_assert_eq!(output.arrivals.len(), charge.signals.len());
     output.arrivals.fill((0, 0));
     for requests in &mut output.requests {
         requests.clear();
@@ -1032,7 +1022,8 @@ fn advance_shard(
         let device = &mut devices[local as usize];
         let device_id = ids[local as usize];
         let cohort = &cohorts[device.cohort_index()];
-        let served = device.serve_with_sample(cohort, ctx, signals, time, row[local as usize]);
+        let served =
+            device.serve_with_sample(cohort, ctx, charge.signals, time, row[local as usize]);
         if trace {
             crate::device::trace_serve_events(
                 &served,
@@ -1043,50 +1034,24 @@ fn advance_shard(
                 &mut output.events,
             );
         }
-        if !(per_request && served.offloaded) {
-            report.record(cohort.region_index, &served);
-            // Fluid staged offloads resolve their whole chain here: the
-            // device already charged per-stage waits and transfers, so
-            // the stage ledger and transfer total book the same event
-            // (`ctx.pipeline` is `None` under per-request fidelity —
-            // there the barrier books each chained stage exactly).
-            if served.offloaded {
-                if let Some((depth, transfer_total_ms)) = ctx.pipeline {
-                    for stage in 1..=depth {
-                        report.record_stage_completion(stage, None);
-                    }
-                    report.record_transfer_ms(transfer_total_ms[cohort.region_index]);
-                }
-            }
-        }
         if served.offloaded {
             let dest = served
                 .failover_region
                 .map_or(cohort.region_index, |r| r as usize);
-            if per_request {
-                output.requests[dest].push(OffloadRequest {
-                    arrival_us: time,
-                    device_id,
-                    stage: 1,
-                    high_priority: device.high_priority(),
-                    origin_region: cohort.region_index as u32,
-                    failed_over: served.failover_region.is_some(),
-                    base_latency_ms: served.latency_ms,
-                    energy_mj: served.energy_mj,
-                    switched: served.switched,
-                });
-            } else {
-                // A staged offload occupies the fluid queue once per
-                // stage — the whole chain lands in this epoch's
-                // aggregate demand (stages = 1 when monolithic).
-                let stages = ctx.pipeline.map_or(1u64, |(depth, _)| u64::from(depth));
-                let slot = &mut output.arrivals[dest];
-                if device.high_priority() {
-                    slot.0 += stages;
-                } else {
-                    slot.1 += stages;
-                }
-            }
+            let request = OffloadRequest {
+                arrival_us: time,
+                device_id,
+                stage: 1,
+                high_priority: device.high_priority(),
+                origin_region: cohort.region_index as u32,
+                failed_over: served.failover_region.is_some(),
+                base_latency_ms: served.latency_ms,
+                energy_mj: served.energy_mj,
+                switched: served.switched,
+            };
+            T::book(output, report, dest, request, charge);
+        } else {
+            report.record(cohort.region_index, &served);
         }
         let next = time + step.next(device);
         if next < horizon_us {

@@ -1,5 +1,4 @@
-//! Parallel barrier replay, and where the cloud fidelities differ at the
-//! barrier.
+//! Parallel barrier replay, and where the cloud fidelities differ.
 //!
 //! Between the shard-step drain and the signal publish, every region's
 //! serving tier is **independent**: a [`RegionServing`]/[`RegionMicrosim`]
@@ -9,15 +8,18 @@
 //! publish, region-major — either sequentially or fanned out over a
 //! scoped thread pool ([`run_barrier`]).
 //!
-//! Both fidelities run through the engine's one barrier loop. A worker is
-//! a [`RegionTier`], and the trait holds everything that differs at the
-//! barrier: [`FluidRegionReplay`] admits merged offload counts and drains
-//! them as epoch aggregates, while [`PerRequestRegionReplay`] replays
-//! every offloaded request through its region's microsim, books the
-//! pipeline stages the microsim chains, and drains its backlog past the
-//! horizon. Each tier builds its own `BackendReport`s. The shard step's
-//! two fidelity branches — offload booking in the engine, the fluid wait
-//! and transfer charge in the device — live outside the trait.
+//! Both fidelities run through the engine's one shard step and one
+//! barrier loop. A worker is a [`RegionTier`], and the trait holds
+//! everything that differs between them. In the shard step
+//! [`RegionTier::book`] takes each offload, priced at the device's share
+//! only: [`FluidRegionReplay`] charges the published wait and the staged
+//! transfers at once and counts the stages into the epoch's arrivals,
+//! while [`PerRequestRegionReplay`] defers the request. At the barrier
+//! the fluid tier admits the merged counts and drains them as epoch
+//! aggregates, while the per-request tier replays every deferred request
+//! through its region's microsim, books the pipeline stages the microsim
+//! chains, and drains its backlog past the horizon. Each tier builds its
+//! own `BackendReport`s.
 //!
 //! Determinism holds by construction, not by luck:
 //!
@@ -103,14 +105,40 @@ where
     }
 }
 
-/// One region's replay worker: everything the two cloud fidelities do
-/// differently at the barrier. The engine's barrier loop is generic over
-/// this trait, so it is written once for both.
+/// What the cloud charges the offloads of one epoch: the signals the
+/// barrier published, the scenario's staged-pipeline pricing, and the
+/// failover penalty. Built once per epoch and shared by every shard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CloudCharge<'a> {
+    /// The per-region signals the epoch's devices read.
+    pub(crate) signals: &'a [RegionSignal],
+    /// Hop prices, when the scenario stages offloads.
+    pub(crate) pricing: Option<&'a PipelinePricing>,
+    /// The inter-region latency a failed-over request pays (ms).
+    pub(crate) penalty_ms: f64,
+}
+
+/// One region's serving tier: everything the two cloud fidelities do
+/// differently, at the shard step ([`book`](RegionTier::book)) and at the
+/// barrier. The engine's shard step and barrier loop are generic over
+/// this trait, so each is written once for both.
 pub(crate) trait RegionTier: Send {
     /// Whether the tier replays individual requests. Only such tiers
     /// measure a cumulative region p99 (sampled as `p99_ms/<region>`)
     /// and record their post-horizon flush as a final drain phase.
     const PER_REQUEST: bool;
+
+    /// Books one offload bound for region `dest` during the shard step.
+    /// `request` carries only the device's share of the latency; the
+    /// tier adds the cloud's, either at once into the shard's `report`
+    /// or later, when the barrier replays the request.
+    fn book(
+        output: &mut ShardEpochOutput,
+        report: &mut FleetReport,
+        dest: usize,
+        request: OffloadRequest,
+        charge: &CloudCharge<'_>,
+    );
 
     /// One epoch barrier for `region` over `[epoch_start, epoch_end)` µs:
     /// serve the shards' offloads, scale, publish — buffering per-phase
@@ -163,6 +191,45 @@ impl FluidRegionReplay {
 
 impl RegionTier for FluidRegionReplay {
     const PER_REQUEST: bool = false;
+
+    /// Charges the destination's published wait once per stage (a
+    /// failover adds its penalty once: the whole chain serves in the
+    /// sibling), then the origin's summed inter-stage transfers — priced
+    /// on the origin uplink even after failover, since the activations
+    /// leave the device's network. Records the inference and its stage
+    /// ledger, and counts every stage into the destination's arrivals.
+    fn book(
+        output: &mut ShardEpochOutput,
+        report: &mut FleetReport,
+        dest: usize,
+        request: OffloadRequest,
+        charge: &CloudCharge<'_>,
+    ) {
+        let stages = charge.pricing.map_or(1, |p| p.depth);
+        let wait_ms = charge.signals[dest].wait_ms(request.high_priority) * f64::from(stages);
+        let cloud_ms = if request.failed_over {
+            wait_ms + charge.penalty_ms
+        } else {
+            wait_ms
+        };
+        let transfer_ms = charge
+            .pricing
+            .map_or(0.0, |p| p.total_ms[request.origin_region as usize]);
+        let latency_ms = request.base_latency_ms + cloud_ms + transfer_ms;
+        record_offload(report, dest, &request, latency_ms);
+        if let Some(pricing) = charge.pricing {
+            for stage in 1..=pricing.depth {
+                report.record_stage_completion(stage, None);
+            }
+            report.record_transfer_ms(transfer_ms);
+        }
+        let slot = &mut output.arrivals[dest];
+        if request.high_priority {
+            slot.0 += u64::from(stages);
+        } else {
+            slot.1 += u64::from(stages);
+        }
+    }
 
     /// Admits the merged offload counts, runs the batch-close drain over
     /// the epoch's length, scales, and publishes.
@@ -275,13 +342,34 @@ impl PerRequestRegionReplay {
                     continue;
                 }
             }
-            record_completion(&mut self.report, region, c);
+            let latency_ms = c.request.base_latency_ms + c.sojourn_ms;
+            record_offload(&mut self.report, region, &c.request, latency_ms);
         }
     }
 }
 
 impl RegionTier for PerRequestRegionReplay {
     const PER_REQUEST: bool = true;
+
+    /// Adds a failover's inter-region penalty and defers the request to
+    /// the barrier, where the microsim supplies its exact sojourn.
+    fn book(
+        output: &mut ShardEpochOutput,
+        _report: &mut FleetReport,
+        dest: usize,
+        request: OffloadRequest,
+        charge: &CloudCharge<'_>,
+    ) {
+        let base_latency_ms = if request.failed_over {
+            request.base_latency_ms + charge.penalty_ms
+        } else {
+            request.base_latency_ms
+        };
+        output.requests[dest].push(OffloadRequest {
+            base_latency_ms,
+            ..request
+        });
+    }
 
     /// K-way merges the shards' request runs, replays them through the
     /// microsim — which chains staged pipelines' next stages as its own
@@ -400,26 +488,28 @@ pub(crate) fn merge_requests(
     }
 }
 
-/// Records one terminal completion's deferred device record. For staged
+/// Records one finished offload under its origin region: `latency_ms`
+/// is the device's share plus everything the tier charged, and
+/// `serving_region` is where it was served. For staged per-request
 /// pipelines `base_latency_ms` has already absorbed every earlier
-/// stage's sojourn and transfer, so the same formula is exact in both
-/// the monolithic and the staged case. The sojourn histograms are not
-/// touched: the microsim records each completion once.
-fn record_completion(report: &mut FleetReport, serving_region: usize, c: &CompletedRequest) {
-    let request = &c.request;
+/// stage's sojourn and transfer, so the terminal completion's sojourn is
+/// the last term. The sojourn histograms are not touched: the microsim
+/// records each completion once.
+fn record_offload(
+    report: &mut FleetReport,
+    serving_region: usize,
+    request: &OffloadRequest,
+    latency_ms: f64,
+) {
     let served = Served {
-        latency_ms: request.base_latency_ms + c.sojourn_ms,
+        latency_ms,
         energy_mj: request.energy_mj,
         offloaded: true,
         switched: request.switched,
         shed_to_local: false,
-        failover_region: if request.failed_over {
-            Some(serving_region as u32)
-        } else {
-            None
-        },
-        // Retreats resolve device-side, before the request ever
-        // reaches the microsim — a completed offload never retreated.
+        failover_region: request.failed_over.then_some(serving_region as u32),
+        // Retreats resolve device-side, before the request ever reaches
+        // the tier — an offload never retreated.
         retreated: false,
     };
     report.record(request.origin_region as usize, &served);
@@ -469,6 +559,157 @@ mod tests {
             false,
         );
         worker.completions.clone()
+    }
+
+    /// Books `request`, bound for `dest`, on tier `T` against `signals`,
+    /// and hands back the shard scratch and the report it booked into.
+    fn book<T: RegionTier>(
+        request: OffloadRequest,
+        dest: usize,
+        signals: &[RegionSignal],
+        pricing: Option<&PipelinePricing>,
+    ) -> (ShardEpochOutput, FleetReport) {
+        let regions = signals.len();
+        let names: Vec<String> = (0..regions).map(|r| format!("r{r}")).collect();
+        let mut output = ShardEpochOutput {
+            arrivals: vec![(0, 0); regions],
+            requests: vec![Vec::new(); regions],
+            events: Vec::new(),
+            counters: Default::default(),
+        };
+        let mut report = FleetReport::empty(10.0, 5.0, 100, &names);
+        let charge = CloudCharge {
+            signals,
+            pricing,
+            penalty_ms: 40.0,
+        };
+        T::book(&mut output, &mut report, dest, request, &charge);
+        (output, report)
+    }
+
+    /// The fluid tier's booking, with the one latency it recorded.
+    fn fluid(
+        request: OffloadRequest,
+        dest: usize,
+        signals: &[RegionSignal],
+        pricing: Option<&PipelinePricing>,
+    ) -> (f64, ShardEpochOutput, FleetReport) {
+        let (output, report) = book::<FluidRegionReplay>(request, dest, signals, pricing);
+        assert_eq!(report.inferences(), 1);
+        (report.latency().max(), output, report)
+    }
+
+    fn waiting(wait_ms: f64) -> RegionSignal {
+        RegionSignal {
+            wait_high_ms: wait_ms,
+            wait_low_ms: wait_ms,
+            ..RegionSignal::default()
+        }
+    }
+
+    /// A 70 ms device share, and the same request after a failover.
+    fn offloads() -> (OffloadRequest, OffloadRequest) {
+        let base = OffloadRequest {
+            base_latency_ms: 70.0,
+            ..request(0, 1, 5.0)
+        };
+        (
+            base,
+            OffloadRequest {
+                failed_over: true,
+                ..base
+            },
+        )
+    }
+
+    #[test]
+    fn fluid_book_charges_waits_penalty_and_transfers() {
+        let (base, failed_over) = offloads();
+
+        // The published 500 ms wait lands on the offload, and its one
+        // stage in the region's low-priority arrivals.
+        let (latency, output, report) = fluid(base, 0, &[waiting(500.0)], None);
+        assert_eq!(latency, 70.0 + 500.0);
+        assert_eq!(output.arrivals, [(0, 1)]);
+        assert!(output.requests.iter().all(Vec::is_empty));
+        assert_eq!(report.offloaded(), 1);
+        assert!(report.stage_completions().is_empty());
+        // A high-priority request reads its own class's wait.
+        let high = OffloadRequest {
+            high_priority: true,
+            ..base
+        };
+        let split = RegionSignal {
+            wait_high_ms: 50.0,
+            ..waiting(500.0)
+        };
+        let (latency, output, _) = fluid(high, 0, &[split], None);
+        assert_eq!(latency, 70.0 + 50.0);
+        assert_eq!(output.arrivals, [(1, 0)]);
+
+        // A failover pays the sibling's 200 ms wait plus the 40 ms
+        // penalty, and counts into the sibling's arrivals.
+        let signals = [RegionSignal::default(), waiting(900.0), waiting(200.0)];
+        let (latency, output, report) = fluid(failed_over, 2, &signals, None);
+        assert_eq!(latency, 70.0 + 240.0);
+        assert_eq!(output.arrivals, [(0, 0), (0, 0), (0, 1)]);
+        assert_eq!(report.regions()[0].failed_over, 1);
+        assert_eq!(report.regions()[2].failover_in, 1);
+
+        // The cheap sibling charges its 400 ms wait; the idle one none.
+        let signals = [
+            RegionSignal::default(),
+            RegionSignal::default(),
+            waiting(400.0),
+        ];
+        let idle = fluid(failed_over, 1, &signals, None).0;
+        let cheap = fluid(failed_over, 2, &signals, None).0;
+        assert_eq!(cheap - idle, 400.0);
+
+        // Staged: the wait is charged once per stage (3×), then the
+        // origin's summed transfers (12.5 ms at 1 µs per byte); the
+        // ledger counts every stage.
+        let spec = PipelineSpec::new(vec![10_000, 2_500]);
+        let staged = PipelinePricing::new(&spec, &[Mbps::new(8.0)]);
+        assert_eq!(staged.total_ms, [12.5]);
+        let (calm, ..) = fluid(base, 0, &[RegionSignal::default()], Some(&staged));
+        assert_eq!(calm, 70.0 + 12.5);
+        let (queued, output, report) = fluid(base, 0, &[waiting(100.0)], Some(&staged));
+        assert_eq!(queued, 70.0 + 300.0 + 12.5);
+        assert_eq!(output.arrivals, [(0, 3)]);
+        assert_eq!(report.stage_completions(), &[1, 1, 1]);
+        assert_eq!(report.transfer_ms(), 12.5);
+
+        // Depth 1 with zero transfers is bit-identical to monolithic.
+        let depth_one = PipelinePricing::new(&PipelineSpec::default(), &[Mbps::new(8.0)]);
+        let (mono, mono_output, _) = fluid(base, 0, &[waiting(100.0)], None);
+        let (degenerate, output, _) = fluid(base, 0, &[waiting(100.0)], Some(&depth_one));
+        assert_eq!(degenerate.to_bits(), mono.to_bits());
+        assert_eq!(output.arrivals, mono_output.arrivals);
+    }
+
+    #[test]
+    fn per_request_book_defers_the_request_and_adds_only_the_penalty() {
+        let (base, failed_over) = offloads();
+        let signals = [waiting(500.0), waiting(900.0), waiting(200.0)];
+        let spec = PipelineSpec::new(vec![10_000, 2_500]);
+        let staged = PipelinePricing::new(&spec, &[Mbps::new(8.0); 3]);
+        for pricing in [None, Some(&staged)] {
+            // Waits and transfers are the microsim's; a failover pays its
+            // 40 ms penalty at once. The record waits for the completion.
+            let (output, report) =
+                book::<PerRequestRegionReplay>(failed_over, 2, &signals, pricing);
+            let charged = OffloadRequest {
+                base_latency_ms: 70.0 + 40.0,
+                ..failed_over
+            };
+            assert_eq!(output.requests, [vec![], vec![], vec![charged]]);
+            assert_eq!(output.arrivals, [(0, 0); 3]);
+            assert_eq!(report.inferences(), 0);
+            // Without a failover the request is deferred unchanged.
+            let (output, _) = book::<PerRequestRegionReplay>(base, 0, &signals, pricing);
+            assert_eq!(output.requests, [vec![base], vec![], vec![]]);
+        }
     }
 
     /// `device`'s completions, in completion order.
