@@ -179,9 +179,13 @@ impl RuleId {
             // inter-stage hop priced with a float would shift integer
             // arrival stamps, so the quantize-once integer paths in
             // wireless/transfer.rs and fleet/pipeline.rs stay in scope.
+            // The region tiers in fleet/replay.rs book every offload's
+            // latency into the shard reports, so they are in scope next
+            // to the shard step that calls them.
             RuleId::FloatAccumulation => {
                 loc.file_name == "report.rs"
                     || loc.rel_path == "crates/fleet/src/engine.rs"
+                    || loc.rel_path == "crates/fleet/src/replay.rs"
                     || loc.rel_path == "crates/fleet/src/scenario.rs"
                     || loc.rel_path == "crates/fleet/src/pipeline.rs"
                     || loc.rel_path == "crates/wireless/src/transfer.rs"
@@ -492,6 +496,9 @@ mod tests {
         // Staged-pipeline transfer pricing shifts integer arrival stamps,
         // so its two homes are in scope — but not the rest of wireless.
         assert!(RuleId::FloatAccumulation.applies(&loc("crates/fleet/src/pipeline.rs")));
+        // The tiers book offload latencies from the shard step, so the
+        // booking code sits in scope beside the engine.
+        assert!(RuleId::FloatAccumulation.applies(&loc("crates/fleet/src/replay.rs")));
         assert!(RuleId::FloatAccumulation.applies(&loc("crates/wireless/src/transfer.rs")));
         assert!(!RuleId::FloatAccumulation.applies(&loc("crates/wireless/src/link.rs")));
         // The digest-bearing telemetry crate is inside the numeric rules'
