@@ -482,13 +482,13 @@ impl BackendConfig {
     }
 
     /// Service time of one batch of (fluid) size `b` on one executor (ms).
-    pub fn batch_service_ms(&self, b: f64) -> f64 {
+    pub(crate) fn batch_service_ms(&self, b: f64) -> f64 {
         self.base_service_ms + self.per_item_ms * b
     }
 
     /// Jobs per millisecond **one slot** completes when every batch closes
     /// full. Live throughput is this times the current slot count.
-    pub fn full_batch_rate_per_slot_ms(&self) -> f64 {
+    pub(crate) fn full_batch_rate_per_slot_ms(&self) -> f64 {
         let b = self.batching.max_batch as f64;
         b / self.batch_service_ms(b)
     }

@@ -410,19 +410,9 @@ impl GpRegressor {
         out[0][0]
     }
 
-    /// Posterior standard deviation at a query point.
-    pub fn predict_std(&self, x: &[f64]) -> f64 {
-        self.predict(x).1.sqrt()
-    }
-
     /// The log marginal likelihood of the (standardized) training data.
     pub fn log_marginal_likelihood(&self) -> f64 {
         self.log_marginal_likelihood
-    }
-
-    /// Number of training points.
-    pub fn num_points(&self) -> usize {
-        self.xs.len()
     }
 
     /// The fitted kernel's lengthscale (after any ML-II selection).

@@ -106,15 +106,6 @@ impl<T> ParetoFront<T> {
         InsertOutcome::Inserted { evicted }
     }
 
-    /// Builds a frontier from a collection of points.
-    pub fn from_points<I: IntoIterator<Item = (T, Vec<f64>)>>(points: I) -> Self {
-        let mut front = ParetoFront::new();
-        for (item, obj) in points {
-            front.insert(item, obj);
-        }
-        front
-    }
-
     /// Verifies the antichain invariant (used by property tests).
     pub fn is_antichain(&self) -> bool {
         for (i, (_, a)) in self.members.iter().enumerate() {
@@ -126,27 +117,6 @@ impl<T> ParetoFront<T> {
         }
         true
     }
-
-    /// Sorts members by the given objective index (ascending) — convenient
-    /// for plotting 2-D frontiers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `objective` is out of range for the stored vectors.
-    pub fn sorted_by_objective(&self, objective: usize) -> Vec<(&T, &[f64])> {
-        let mut v: Vec<(&T, &[f64])> = self.iter().collect();
-        v.sort_by(|(_, a), (_, b)| {
-            a[objective]
-                .partial_cmp(&b[objective])
-                .expect("objectives are finite")
-        });
-        v
-    }
-
-    /// Consumes the frontier, returning its members.
-    pub fn into_members(self) -> Vec<(T, Vec<f64>)> {
-        self.members
-    }
 }
 
 impl<T> Default for ParetoFront<T> {
@@ -155,9 +125,14 @@ impl<T> Default for ParetoFront<T> {
     }
 }
 
+/// Builds a frontier by offering each point in turn.
 impl<T> FromIterator<(T, Vec<f64>)> for ParetoFront<T> {
     fn from_iter<I: IntoIterator<Item = (T, Vec<f64>)>>(iter: I) -> Self {
-        ParetoFront::from_points(iter)
+        let mut front = ParetoFront::new();
+        for (item, obj) in iter {
+            front.insert(item, obj);
+        }
+        front
     }
 }
 
@@ -210,20 +185,6 @@ mod tests {
         f.insert("c", vec![5.0, 5.0]);
         assert_eq!(f.len(), 3);
         assert!(f.is_antichain());
-    }
-
-    #[test]
-    fn sorted_by_objective_orders() {
-        let f: ParetoFront<&str> = [
-            ("a", vec![3.0, 1.0]),
-            ("b", vec![1.0, 3.0]),
-            ("c", vec![2.0, 2.0]),
-        ]
-        .into_iter()
-        .collect();
-        let sorted = f.sorted_by_objective(0);
-        let names: Vec<&&str> = sorted.iter().map(|(t, _)| *t).collect();
-        assert_eq!(names, vec![&"b", &"c", &"a"]);
     }
 
     #[test]
