@@ -108,7 +108,7 @@ where
 /// What the cloud charges the offloads of one epoch: the signals the
 /// barrier published, the scenario's staged-pipeline pricing, and the
 /// failover penalty. Built once per epoch and shared by every shard.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct CloudCharge<'a> {
     /// The per-region signals the epoch's devices read.
     pub(crate) signals: &'a [RegionSignal],
