@@ -20,9 +20,10 @@
 //!   case;
 //! * the posterior is computed for a block of query points at once:
 //!   squared distances to the training points, the kernel block, `k·α`,
-//!   one block forward solve `L⁻¹k` and `k(x,x) − v·v`. Every query column
-//!   sees the operations of a one-point prediction in the same order, and
-//!   [`GpRegressor::predict`] is the one-column case.
+//!   one block forward solve `L⁻¹k` and `k(x,x) − v·v`. The kernel block
+//!   is its own step, so factors on the same kernel can share it. Every
+//!   query column sees the operations of a one-point prediction in the
+//!   same order, and [`GpRegressor::predict`] is the one-column case.
 
 use crate::kernel::Kernel;
 use crate::GpError;
@@ -77,11 +78,8 @@ impl Factor {
         let mut row = Vec::with_capacity(xs.len());
         for i in self.chol.dim()..xs.len() {
             row.clear();
-            row.extend(
-                xs[..=i]
-                    .iter()
-                    .map(|xj| self.kernel.eval_sq_dist(squared_distance(&xs[i], xj))),
-            );
+            row.extend(xs[..=i].iter().map(|xj| squared_distance(&xs[i], xj)));
+            self.kernel.eval_sq_dists(&mut row);
             row[i] += self.noise + JITTER;
             self.chol.push_row(&row)?;
         }
@@ -94,66 +92,83 @@ impl Factor {
         (self.kernel.lengthscale(), self.noise)
     }
 
+    /// The lengthscale of the kernel that built the factor.
+    pub(crate) fn lengthscale(&self) -> f64 {
+        self.kernel.lengthscale()
+    }
+
+    /// The kernel block of a block of `W` query points, given the squared
+    /// distances `d2[i][c]` from training input `i` to query `c`:
+    /// `out[i][c]` is their covariance.
+    pub(crate) fn kernel_block<const W: usize>(&self, d2: &[[f64; W]], out: &mut Vec<[f64; W]>) {
+        out.clear();
+        out.extend_from_slice(d2);
+        self.kernel.eval_sq_dists(out.as_flattened_mut());
+    }
+
     /// Posterior mean and variance, in original target units, of each GP
     /// in `gps` (all on this factor) at a block of `W` query points, given
-    /// the squared distances `d2[i][c]` from training input `i` to query
-    /// `c`. GP `g`'s prediction at query `c` goes to `out[g][c]`; `block`
-    /// is scratch.
+    /// their kernel block `k` from [`kernel_block`](Self::kernel_block)
+    /// under this factor's kernel. The prediction of GP `(g, weights)` at
+    /// query `c` goes to `out[g][c]`; `v` is scratch for the forward solve.
     pub(crate) fn posterior<const W: usize>(
         &self,
-        d2: &[[f64; W]],
-        gps: &[&Weights],
-        block: &mut Vec<[f64; W]>,
+        k: &[[f64; W]],
+        gps: &[(usize, &Weights)],
+        v: &mut Vec<[f64; W]>,
         out: &mut [[(f64, f64); W]],
     ) {
-        block.clear();
-        block.extend(
-            d2.iter()
-                .map(|row| row.map(|d| self.kernel.eval_sq_dist(d))),
-        );
-        for (weights, out) in gps.iter().zip(out.iter_mut()) {
+        for &(g, weights) in gps {
             let mut mean = [-0.0; W];
-            for (k, alpha) in block.iter().zip(&weights.alpha) {
+            for (row, alpha) in k.iter().zip(&weights.alpha) {
                 for c in 0..W {
-                    mean[c] += k[c] * alpha;
+                    mean[c] += row[c] * alpha;
                 }
             }
             for c in 0..W {
-                out[c].0 = mean[c];
+                out[g][c].0 = mean[c];
             }
         }
-        self.chol.solve_lower_block(block);
+        v.clear();
+        v.extend_from_slice(k);
+        self.chol.solve_lower_block(v);
         let mut vv = [-0.0; W];
-        for v in block.iter() {
+        for row in v.iter() {
             for c in 0..W {
-                vv[c] += v[c] * v[c];
+                vv[c] += row[c] * row[c];
             }
         }
-        for (weights, out) in gps.iter().zip(out) {
+        for &(g, weights) in gps {
             let s = &weights.standardizer;
             for c in 0..W {
                 let var_z = (self.kernel.diagonal() - vv[c]).max(0.0);
-                out[c] = (s.inverse(out[c].0), var_z * s.scale() * s.scale());
+                out[g][c] = (s.inverse(out[g][c].0), var_z * s.scale() * s.scale());
             }
         }
     }
 }
 
+/// Lays a block of `W` query points out by dimension, the way
+/// [`squared_distances`] reads them: `out[t][c]` is coordinate `t` of
+/// `queries[c]`.
+pub(crate) fn by_dimension<const W: usize>(queries: [&[f64]; W], out: &mut Vec<[f64; W]>) {
+    out.clear();
+    out.extend((0..queries[0].len()).map(|t| queries.map(|q| q[t])));
+}
+
 /// Squared distances from every training input to each of `W` query
-/// points: `out[i][c]` is `squared_distance(&xs[i], queries[c])`,
-/// accumulated in the same order, with the `W` sums running side by side.
+/// points laid out by dimension ([`by_dimension`]): `out[i][c]` is
+/// `squared_distance(&xs[i], query c)`, accumulated in the same order, with
+/// the `W` sums running side by side.
 pub(crate) fn squared_distances<const W: usize>(
     xs: &[Vec<f64>],
-    queries: [&[f64]; W],
+    queries: &[[f64; W]],
     out: &mut Vec<[f64; W]>,
 ) {
-    let by_dimension: Vec<[f64; W]> = (0..queries[0].len())
-        .map(|t| queries.map(|q| q[t]))
-        .collect();
     out.clear();
     out.extend(xs.iter().map(|x| {
         let mut d2 = [-0.0; W];
-        for (xt, qt) in x.iter().zip(&by_dimension) {
+        for (xt, qt) in x.iter().zip(queries) {
             for c in 0..W {
                 let diff = xt - qt[c];
                 d2[c] += diff * diff;
@@ -402,11 +417,13 @@ impl GpRegressor {
             self.xs[0].len(),
             "query dimension mismatch in GP predict"
         );
-        let mut d2 = Vec::with_capacity(self.xs.len());
-        squared_distances(&self.xs, [x], &mut d2);
+        let (mut query, mut d2, mut k) = (Vec::new(), Vec::new(), Vec::new());
+        by_dimension([x], &mut query);
+        squared_distances(&self.xs, &query, &mut d2);
+        self.factor.kernel_block(&d2, &mut k);
         let mut out = [[(0.0, 0.0)]];
         self.factor
-            .posterior(&d2, &[&self.weights], &mut Vec::new(), &mut out);
+            .posterior(&k, &[(0, &self.weights)], &mut Vec::new(), &mut out);
         out[0][0]
     }
 
@@ -472,13 +489,15 @@ mod tests {
                 GpRegressor::fit(points.clone(), ys, Matern52::new(lengthscale, 1.3), noise)
             };
             let (a, b) = (fit(ys_a).unwrap(), fit(ys_b).unwrap());
-            let (mut d2, mut block) = (Vec::new(), Vec::new());
+            let (mut by_dim, mut d2, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
             for chunk in queries.chunks(4) {
                 let block_queries: [&[f64]; 4] =
                     std::array::from_fn(|c| chunk.get(c).unwrap_or(&chunk[0]).as_slice());
-                squared_distances(&a.xs, block_queries, &mut d2);
+                by_dimension(block_queries, &mut by_dim);
+                squared_distances(&a.xs, &by_dim, &mut d2);
+                a.factor.kernel_block(&d2, &mut k);
                 let mut out = [[(0.0, 0.0); 4]; 2];
-                a.factor.posterior(&d2, &[&a.weights, &b.weights], &mut block, &mut out);
+                a.factor.posterior(&k, &[(0, &a.weights), (1, &b.weights)], &mut v, &mut out);
                 for (c, q) in block_queries.iter().enumerate() {
                     prop_assert_eq!(bits(out[0][c]), bits(textbook_predict(&a, &a.weights, q)));
                     prop_assert_eq!(bits(out[1][c]), bits(textbook_predict(&a, &b.weights, q)));

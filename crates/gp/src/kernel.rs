@@ -9,6 +9,18 @@ pub trait Kernel: Debug + Send + Sync {
     /// Covariance of two points at squared Euclidean distance `d2`.
     fn eval_sq_dist(&self, d2: f64) -> f64;
 
+    /// Replaces each squared distance in `d2` by the covariance at it,
+    /// entry for entry what [`eval_sq_dist`](Self::eval_sq_dist) gives.
+    ///
+    /// Each implementation gets its own copy of this loop with
+    /// `eval_sq_dist` inlined, so a caller holding a `dyn Kernel` makes
+    /// one dynamic call per slice instead of one per entry.
+    fn eval_sq_dists(&self, d2: &mut [f64]) {
+        for d in d2 {
+            *d = self.eval_sq_dist(*d);
+        }
+    }
+
     /// Covariance between two points.
     fn eval(&self, a: &[f64], b: &[f64]) -> f64 {
         self.eval_sq_dist(squared_distance(a, b))
@@ -155,6 +167,29 @@ mod tests {
     }
 
     proptest! {
+        /// The slice method gives, bit for bit, `eval_sq_dist` at every
+        /// entry, distance zero included, for both kernels.
+        #[test]
+        fn prop_slice_eval_is_bit_identical_per_entry(
+            mut d2 in proptest::collection::vec(0.0f64..9.0, 0..=24),
+            zero_at in 0usize..25,
+            ls in 0.05f64..4.0,
+            variance in 0.1f64..3.0,
+        ) {
+            d2.insert(zero_at.min(d2.len()), 0.0);
+            let kernels: [Box<dyn Kernel>; 2] = [
+                Box::new(Matern52::new(ls, variance)),
+                Box::new(SquaredExponential::new(ls, variance)),
+            ];
+            for kernel in &kernels {
+                let mut values = d2.clone();
+                kernel.eval_sq_dists(&mut values);
+                for (value, &d) in values.iter().zip(&d2) {
+                    prop_assert_eq!(value.to_bits(), kernel.eval_sq_dist(d).to_bits());
+                }
+            }
+        }
+
         /// Symmetry and boundedness for both kernels.
         #[test]
         fn prop_kernel_symmetric_bounded(

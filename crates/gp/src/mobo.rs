@@ -10,12 +10,16 @@
 //! tells the result back.
 
 use crate::acquisition::{Acquisition, AcquisitionKind};
-use crate::gp::{select, squared_distances, Factor, Selection, Standardized, Weights};
+use crate::gp::{
+    by_dimension, select, squared_distances, Factor, Selection, Standardized, Weights,
+};
 use crate::kernel::Matern52;
 use crate::GpError;
 use lens_num::dist::simplex_weights;
 use lens_pareto::ParetoFront;
 use rand::RngCore;
+use std::num::NonZeroUsize;
+use std::sync::Mutex;
 
 /// Candidates whose posteriors are computed together: the width of the
 /// block forward solve over the pool.
@@ -89,6 +93,9 @@ pub struct MultiObjectiveOptimizer {
     /// Index into `factors` of each objective's GP.
     objective_factor: Vec<usize>,
     tells_since_refit: usize,
+    /// Threads the pool posterior spreads its blocks over: the host's
+    /// available parallelism, resolved once.
+    workers: usize,
 }
 
 impl MultiObjectiveOptimizer {
@@ -111,17 +118,14 @@ impl MultiObjectiveOptimizer {
             factors: Vec::new(),
             objective_factor: Vec::new(),
             tells_since_refit: usize::MAX / 2, // force ML-II on first suggest
+            // lens-analyzer: allow(thread-confinement): sizes the pool posterior's workers only; every block is computed by the same sequential code and gathered by block index, so the picks do not depend on it (posteriors_are_bit_identical_across_worker_counts)
+            workers: std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
         }
     }
 
     /// Number of observations told so far.
     pub fn num_observations(&self) -> usize {
         self.xs.len()
-    }
-
-    /// Number of objectives.
-    pub fn num_objectives(&self) -> usize {
-        self.num_objectives
     }
 
     /// The observations as `(inputs, objective_vectors)`.
@@ -205,37 +209,92 @@ impl MultiObjectiveOptimizer {
     }
 
     /// Posterior (mean, variance) of every objective's GP at every
-    /// candidate, objective-major. The pool goes through in blocks of
-    /// [`BLOCK`] candidates; each block's squared distances are shared by
-    /// all objectives, and its kernel block and forward solve by the
-    /// objectives on the same factor.
+    /// candidate, objective-major.
+    ///
+    /// The pool goes through in blocks of [`BLOCK`] candidates. Each
+    /// block's squared distances are shared by all objectives, its kernel
+    /// block by the factors on one lengthscale, and its forward solve by
+    /// the objectives on one factor. Up to `workers` threads, the caller's
+    /// among them, take blocks from a shared queue one at a time, so a
+    /// stalled core delays only the block it holds. Each block's result
+    /// goes to its own slot, and the slots are gathered in block order, so
+    /// the output does not depend on which thread computed which block.
     fn posteriors(&self, candidates: &[Vec<f64>], weights: &[Weights]) -> Vec<Vec<(f64, f64)>> {
-        // The objectives on each factor, and their weights.
-        let groups: Vec<(Vec<usize>, Vec<&Weights>)> = (0..self.factors.len())
-            .map(|f| {
-                let objectives: Vec<usize> = (0..self.num_objectives)
+        // Every factor derives from one base kernel and differs only in
+        // lengthscale and noise, so the factors on one lengthscale have the
+        // same kernel block. Sorted by lengthscale, they share it in runs.
+        let mut on_factors: Vec<OnFactor> = self
+            .factors
+            .iter()
+            .enumerate()
+            .map(|(f, factor)| OnFactor {
+                factor,
+                gps: (0..self.num_objectives)
                     .filter(|&k| self.objective_factor[k] == f)
-                    .collect();
-                let gps = objectives.iter().map(|&k| &weights[k]).collect();
-                (objectives, gps)
+                    .map(|k| (k, &weights[k]))
+                    .collect(),
             })
             .collect();
-        let mut posteriors = vec![Vec::with_capacity(candidates.len()); self.num_objectives];
-        let (mut d2, mut block) = (Vec::new(), Vec::new());
-        let mut out = vec![[(0.0, 0.0); BLOCK]; self.num_objectives];
-        for chunk in candidates.chunks(BLOCK) {
-            // A short last block repeats its first candidate.
-            let queries = std::array::from_fn(|c| chunk.get(c).unwrap_or(&chunk[0]).as_slice());
-            squared_distances(&self.xs, queries, &mut d2);
-            for (factor, (objectives, gps)) in self.factors.iter().zip(&groups) {
-                let out = &mut out[..gps.len()];
-                factor.posterior(&d2, gps, &mut block, out);
-                for (&k, column) in objectives.iter().zip(out.iter()) {
-                    posteriors[k].extend_from_slice(&column[..chunk.len()]);
-                }
+        on_factors.sort_by(|a, b| a.factor.lengthscale().total_cmp(&b.factor.lengthscale()));
+        let objectives = self.num_objectives;
+        let blocks = candidates.len().div_ceil(BLOCK);
+        let mut slots = vec![[(0.0, 0.0); BLOCK]; blocks * objectives];
+        let mut scratch: Vec<Scratch> = (0..self.workers.min(blocks))
+            .map(|_| Scratch::new(self.xs.len(), candidates[0].len()))
+            .collect();
+        let queue = Mutex::new(candidates.chunks(BLOCK).zip(slots.chunks_mut(objectives)));
+        let work = |scratch: &mut Scratch| {
+            while let Some((chunk, slot)) = claim(&queue) {
+                self.block_posterior(&on_factors, chunk, scratch, slot);
+            }
+        };
+        let (mine, theirs) = scratch
+            .split_first_mut()
+            .expect("a validated pool has at least one block");
+        let work = &work;
+        // lens-analyzer: allow(thread-confinement): workers read only the optimizer's factors and weights and write only the slots of the blocks they claim, which are gathered in block order; pinned by posteriors_are_bit_identical_across_worker_counts
+        std::thread::scope(|s| {
+            for scratch in theirs {
+                // A worker that cannot start leaves its blocks to the others.
+                // lens-analyzer: allow(thread-confinement): a scoped worker of the pool posterior, joined before the gather; any worker count gives the same output (posteriors_are_bit_identical_across_worker_counts)
+                let _ = std::thread::Builder::new().spawn_scoped(s, move || work(scratch));
+            }
+            work(mine);
+        });
+        let mut posteriors = vec![Vec::with_capacity(candidates.len()); objectives];
+        for (chunk, slot) in candidates.chunks(BLOCK).zip(slots.chunks(objectives)) {
+            for (posterior, column) in posteriors.iter_mut().zip(slot) {
+                posterior.extend_from_slice(&column[..chunk.len()]);
             }
         }
         posteriors
+    }
+
+    /// Every objective's posterior at one block of at most [`BLOCK`]
+    /// candidates: objective `k`'s goes to `slot[k]`.
+    fn block_posterior(
+        &self,
+        on_factors: &[OnFactor],
+        chunk: &[Vec<f64>],
+        scratch: &mut Scratch,
+        slot: &mut [[(f64, f64); BLOCK]],
+    ) {
+        // A short last block repeats its first candidate.
+        let queries = std::array::from_fn(|c| chunk.get(c).unwrap_or(&chunk[0]).as_slice());
+        by_dimension(queries, &mut scratch.queries);
+        squared_distances(&self.xs, &scratch.queries, &mut scratch.d2);
+        let same_kernel =
+            |a: &OnFactor, b: &OnFactor| a.factor.lengthscale() == b.factor.lengthscale();
+        for on_kernel in on_factors.chunk_by(same_kernel) {
+            on_kernel[0]
+                .factor
+                .kernel_block(&scratch.d2, &mut scratch.kernel);
+            for on_factor in on_kernel {
+                on_factor
+                    .factor
+                    .posterior(&scratch.kernel, &on_factor.gps, &mut scratch.v, slot);
+            }
+        }
     }
 
     /// Chooses the most promising candidate: builds the randomly scalarized
@@ -294,6 +353,43 @@ impl MultiObjectiveOptimizer {
         }
         Ok(argmax(&combined))
     }
+}
+
+/// One factor of the pool posterior, with the objectives whose GPs sit on
+/// it: `(k, weights)` for objective `k`.
+struct OnFactor<'a> {
+    factor: &'a Factor,
+    gps: Vec<(usize, &'a Weights)>,
+}
+
+/// One worker's buffers for the pool posterior. The caller sizes them for
+/// the training set before any worker starts, so a worker allocates
+/// nothing.
+struct Scratch {
+    queries: Vec<[f64; BLOCK]>,
+    d2: Vec<[f64; BLOCK]>,
+    kernel: Vec<[f64; BLOCK]>,
+    v: Vec<[f64; BLOCK]>,
+}
+
+impl Scratch {
+    fn new(rows: usize, dim: usize) -> Self {
+        Scratch {
+            queries: Vec::with_capacity(dim),
+            d2: Vec::with_capacity(rows),
+            kernel: Vec::with_capacity(rows),
+            v: Vec::with_capacity(rows),
+        }
+    }
+}
+
+/// The next item of a queue shared by the pool's workers; `None` once it
+/// is empty. The lock is released before the item is worked on.
+fn claim<I: Iterator>(queue: &Mutex<I>) -> Option<I::Item> {
+    queue
+        .lock()
+        .expect("no worker panics while holding the queue")
+        .next()
 }
 
 /// Z-normalizes scores; degenerate (constant) score vectors become zeros.
@@ -452,6 +548,90 @@ mod tests {
             }
             let x = pool[rng.gen_range(0..pool.len())].clone();
             opt.tell(x.clone(), objectives(&x)).unwrap();
+        }
+    }
+
+    /// An optimizer told `n` points of three objectives in 4 dimensions,
+    /// with hand-built factors: objectives 0 and 1 on one lengthscale with
+    /// different noises, so they share a kernel block but not a solve, and
+    /// objective 2 on another lengthscale, whose factor sits between theirs.
+    fn hand_fitted(n: usize) -> (MultiObjectiveOptimizer, Vec<Weights>) {
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut opt = MultiObjectiveOptimizer::new(3, MoboConfig::default());
+        for _ in 0..n {
+            let x = random_point(&mut rng, 4);
+            let y = vec![x[0] + x[1], (x[2] - 0.5).powi(2), x[3].sin() * x[0]];
+            opt.tell(x, y).unwrap();
+        }
+        opt.factors = [(0.4, 1e-4), (1.6, 1e-2), (0.4, 1e-1)]
+            .iter()
+            .map(|&(ls, noise)| {
+                Factor::build(Box::new(Matern52::new(ls, 1.0)), noise, &opt.xs, n).unwrap()
+            })
+            .collect();
+        opt.objective_factor = vec![0, 2, 1];
+        let weights = (0..3)
+            .map(|k| {
+                let targets: Vec<f64> = opt.ys.iter().map(|y| y[k]).collect();
+                let factor = &opt.factors[opt.objective_factor[k]];
+                Standardized::new(&targets).unwrap().solve(factor)
+            })
+            .collect();
+        (opt, weights)
+    }
+
+    fn posterior_bits(posterior: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        posterior
+            .iter()
+            .map(|(mean, variance)| (mean.to_bits(), variance.to_bits()))
+            .collect()
+    }
+
+    /// Factors on one lengthscale share each block's kernel block, and
+    /// every objective's posterior is still bit for bit a from-scratch
+    /// `GpRegressor`'s one-point prediction.
+    #[test]
+    fn posteriors_on_factors_sharing_a_lengthscale_match_predict() {
+        let (opt, weights) = hand_fitted(25);
+        let mut rng = StdRng::seed_from_u64(4);
+        let pool: Vec<Vec<f64>> = (0..13).map(|_| random_point(&mut rng, 4)).collect();
+        let posteriors = opt.posteriors(&pool, &weights);
+        for (k, posterior) in posteriors.iter().enumerate() {
+            let (lengthscale, noise) = opt.factors[opt.objective_factor[k]].hyperparameters();
+            let targets = opt.ys.iter().map(|y| y[k]).collect();
+            let gp = GpRegressor::fit(
+                opt.xs.clone(),
+                targets,
+                Matern52::new(lengthscale, 1.0),
+                noise,
+            )
+            .unwrap();
+            let predicted: Vec<(f64, f64)> = pool.iter().map(|c| gp.predict(c)).collect();
+            assert_eq!(posterior_bits(posterior), posterior_bits(&predicted));
+        }
+    }
+
+    /// The pool posterior is the same, bit for bit, on 1, 2 and 3 workers
+    /// and on more workers than blocks: for a one-candidate pool, one full
+    /// block, a full block and one candidate, and 24 blocks.
+    #[test]
+    fn posteriors_are_bit_identical_across_worker_counts() {
+        let (mut opt, weights) = hand_fitted(40);
+        let mut rng = StdRng::seed_from_u64(6);
+        let bits = |posteriors: Vec<Vec<(f64, f64)>>| -> Vec<Vec<(u64, u64)>> {
+            posteriors.iter().map(|p| posterior_bits(p)).collect()
+        };
+        for size in [1, 8, 9, 192] {
+            let pool: Vec<Vec<f64>> = (0..size).map(|_| random_point(&mut rng, 4)).collect();
+            opt.workers = 1;
+            let sequential = bits(opt.posteriors(&pool, &weights));
+            assert_eq!(sequential.len(), 3);
+            assert!(sequential.iter().all(|p| p.len() == size));
+            for workers in [2, 3, size.div_ceil(BLOCK) + 1] {
+                opt.workers = workers;
+                let parallel = bits(opt.posteriors(&pool, &weights));
+                assert_eq!(parallel, sequential, "{workers} workers, pool of {size}");
+            }
         }
     }
 

@@ -46,7 +46,7 @@ pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f64, std_dev: f64) -> f64 {
 /// # Panics
 ///
 /// Panics if `log_std_dev` is negative or non-finite.
-pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, log_mean: f64, log_std_dev: f64) -> f64 {
+fn log_normal<R: Rng + ?Sized>(rng: &mut R, log_mean: f64, log_std_dev: f64) -> f64 {
     normal(rng, log_mean, log_std_dev).exp()
 }
 

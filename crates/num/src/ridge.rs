@@ -140,19 +140,9 @@ impl RidgeRegression {
         self.intercept + dot(&standardized, &self.weights)
     }
 
-    /// Number of input features.
-    pub fn num_features(&self) -> usize {
-        self.weights.len()
-    }
-
     /// The fitted weights in standardized feature space.
     pub fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// The fitted intercept (mean of the training targets).
-    pub fn intercept(&self) -> f64 {
-        self.intercept
     }
 }
 

@@ -136,11 +136,6 @@ impl Standardizer {
         z * self.scale + self.mean
     }
 
-    /// Scales a standard deviation (no mean shift) back to raw space.
-    pub fn inverse_scale(&self, s: f64) -> f64 {
-        s * self.scale
-    }
-
     /// The fitted mean.
     pub fn mean(&self) -> f64 {
         self.mean
