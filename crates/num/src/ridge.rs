@@ -207,6 +207,52 @@ mod tests {
         ));
     }
 
+    /// Pins a fit bit for bit. The features span 1 to 1e10, like the
+    /// MAC and byte counts the performance predictors train on; the third
+    /// column is constant, and the 9s of the second column and the 3e9s of
+    /// the fourth equal their column means, so they standardize to exactly
+    /// 0. The fit runs only `+ − × ÷ sqrt`, so the bits hold on every
+    /// platform.
+    #[test]
+    fn fit_and_predict_are_pinned_bit_for_bit() {
+        let xs: [[f64; 4]; 8] = [
+            [1.0, 4.0, 7.0, 1.0e9],
+            [1.0e10, 12.0, 7.0, 5.0e9],
+            [3.2e7, 9.0, 7.0, 3.0e9],
+            [4.5e9, 1.0, 7.0, 2.0e9],
+            [1.2e3, 9.0, 7.0, 3.0e9],
+            [7.7e5, 16.0, 7.0, 4.0e9],
+            [2.5e8, 2.0, 7.0, 6.0e8],
+            [6.1e6, 19.0, 7.0, 5.4e9],
+        ];
+        let ys = [0.52, 118.25, 3.9, 61.5, 0.61, 0.97, 12.4, 2.05];
+        let model = RidgeRegression::fit(&xs, &ys, 1e-4).unwrap();
+        let weights: Vec<u64> = model.weights().iter().map(|w| w.to_bits()).collect();
+        assert_eq!(
+            weights,
+            [
+                0x4043_7388_da5d_9e55,
+                0xc013_34e9_02cf_89fa,
+                0x0000_0000_0000_0000,
+                0x4006_4aab_8359_f43e,
+            ]
+        );
+        let queries = [
+            [2.0e9, 9.0, 7.0, 3.0e9],
+            [1.0, 4.0, 7.0, 1.0e9],
+            [5.0e10, 20.0, 8.0, 1.0e10],
+        ];
+        let predictions: Vec<u64> = queries.iter().map(|q| model.predict(q).to_bits()).collect();
+        assert_eq!(
+            predictions,
+            [
+                0x403a_c0a9_ff43_ec84,
+                0x4011_ea3c_aa92_7158,
+                0x4082_0db2_562f_b9e5,
+            ]
+        );
+    }
+
     #[test]
     fn strong_regularization_shrinks_towards_mean() {
         let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
