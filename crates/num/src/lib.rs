@@ -5,9 +5,10 @@
 //! so the pieces the rest of the workspace needs are implemented here from
 //! scratch and kept small and auditable:
 //!
-//! * [`linalg`] — a dense row-major [`Matrix`](linalg::Matrix) with the
-//!   operations Gaussian-process regression requires (products, Cholesky
-//!   factorization, triangular solves).
+//! * [`linalg`] — the packed [`Cholesky`](linalg::Cholesky) factor, grown
+//!   one row at a time, with the triangular solves and log-determinant that
+//!   Gaussian-process and ridge regression solve through, and the slice
+//!   kernels `dot` and `squared_distance`.
 //! * [`ridge`] — closed-form ridge regression used by the per-layer
 //!   performance predictors of `lens-device`.
 //! * [`dist`] — seeded Gaussian / log-normal sampling via Box–Muller, used
@@ -18,12 +19,14 @@
 //! # Examples
 //!
 //! ```
-//! use lens_num::linalg::Matrix;
+//! use lens_num::linalg::Cholesky;
 //!
 //! # fn main() -> Result<(), lens_num::NumError> {
-//! // Solve the SPD system A x = b through a Cholesky factorization.
-//! let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]])?;
-//! let chol = a.cholesky()?;
+//! // Solve the SPD system A x = b, A = [[4, 2], [2, 3]], by pushing the
+//! // lower triangle of A into a Cholesky factor one row at a time.
+//! let mut chol = Cholesky::default();
+//! chol.push_row(&[4.0])?;
+//! chol.push_row(&[2.0, 3.0])?;
 //! let x = chol.solve(&[2.0, 1.0]);
 //! assert!((4.0 * x[0] + 2.0 * x[1] - 2.0).abs() < 1e-12);
 //! # Ok(())

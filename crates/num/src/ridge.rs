@@ -11,7 +11,7 @@
 //! and the fit is well-conditioned even when features span many orders of
 //! magnitude (e.g. MAC counts vs kernel sizes).
 
-use crate::linalg::{dot, Matrix};
+use crate::linalg::Cholesky;
 use crate::NumError;
 
 /// A fitted ridge regression model.
@@ -104,12 +104,38 @@ impl RidgeRegression {
 
         let y_mean = ys.iter().sum::<f64>() / n as f64;
 
-        let x = Matrix::from_fn(n, d, |i, j| (xs[i].as_ref()[j] - means[j]) / scales[j]);
-        let xt = x.transpose();
-        let gram = xt.matmul(&x)?.add_diagonal(lambda.max(1e-12));
-        let yc: Vec<f64> = ys.iter().map(|&y| y - y_mean).collect();
-        let xty = xt.matvec(&yc)?;
-        let chol = gram.cholesky()?;
+        // XᵀX's lower triangle, packed row by row as `Cholesky::push_row`
+        // takes it, built one standardized sample at a time. Each entry sums
+        // the samples in order from +0.0.
+        let mut gram = vec![0.0; d * (d + 1) / 2];
+        let mut z = vec![0.0; d];
+        for row in xs {
+            for (((zj, &v), m), s) in z.iter_mut().zip(row.as_ref()).zip(&means).zip(&scales) {
+                *zj = (v - m) / s;
+            }
+            for (i, &zi) in z.iter().enumerate() {
+                let gram_row = &mut gram[i * (i + 1) / 2..][..=i];
+                for (g, &zj) in gram_row.iter_mut().zip(&z) {
+                    *g += zi * zj;
+                }
+            }
+        }
+        let mut chol = Cholesky::with_capacity(d);
+        for i in 0..d {
+            let gram_row = &mut gram[i * (i + 1) / 2..][..=i];
+            gram_row[i] += lambda.max(1e-12);
+            chol.push_row(gram_row)?;
+        }
+        // Xᵀ(y − ȳ): each entry is an in-order `Iterator::sum` over the
+        // samples, as `linalg::dot` computes it.
+        let xty: Vec<f64> = (0..d)
+            .map(|j| {
+                xs.iter()
+                    .zip(ys)
+                    .map(|(row, &y)| (row.as_ref()[j] - means[j]) / scales[j] * (y - y_mean))
+                    .sum()
+            })
+            .collect();
         let weights = chol.solve(&xty);
 
         Ok(RidgeRegression {
@@ -131,13 +157,14 @@ impl RidgeRegression {
             self.weights.len(),
             "feature width mismatch in ridge predict"
         );
-        let standardized: Vec<f64> = features
+        let weighted: f64 = features
             .iter()
             .zip(&self.feature_means)
             .zip(&self.feature_scales)
-            .map(|((&v, m), s)| (v - m) / s)
-            .collect();
-        self.intercept + dot(&standardized, &self.weights)
+            .zip(&self.weights)
+            .map(|(((&v, m), s), w)| (v - m) / s * w)
+            .sum();
+        self.intercept + weighted
     }
 
     /// The fitted weights in standardized feature space.
