@@ -70,6 +70,8 @@ pub enum NumError {
     },
     /// An operation that requires a non-empty data set received none.
     EmptyInput(&'static str),
+    /// A data set held a NaN or infinite value.
+    NonFinite(&'static str),
 }
 
 impl fmt::Display for NumError {
@@ -87,6 +89,7 @@ impl fmt::Display for NumError {
                 write!(f, "matrix is not positive definite (pivot {pivot})")
             }
             NumError::EmptyInput(what) => write!(f, "empty input for {what}"),
+            NumError::NonFinite(what) => write!(f, "non-finite value in {what}"),
         }
     }
 }

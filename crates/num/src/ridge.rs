@@ -51,8 +51,9 @@ impl RidgeRegression {
     /// * [`NumError::EmptyInput`] if `xs` is empty or has zero-width rows.
     /// * [`NumError::RaggedRows`] if feature rows disagree in length.
     /// * [`NumError::DimensionMismatch`] if `xs.len() != ys.len()`.
-    /// * [`NumError::NotPositiveDefinite`] if the normal equations do not
-    ///   factor, as with a NaN feature.
+    /// * [`NumError::NonFinite`] if a feature or target is NaN or infinite.
+    /// * [`NumError::NotPositiveDefinite`] if the regularized normal
+    ///   equations do not factor.
     pub fn fit<R: AsRef<[f64]>>(xs: &[R], ys: &[f64], lambda: f64) -> Result<Self, NumError> {
         if xs.is_empty() {
             return Err(NumError::EmptyInput("ridge regression features"));
@@ -69,12 +70,19 @@ impl RidgeRegression {
             return Err(NumError::EmptyInput("ridge regression feature width"));
         }
         for row in xs {
-            if row.as_ref().len() != d {
+            let row = row.as_ref();
+            if row.len() != d {
                 return Err(NumError::RaggedRows {
                     expected: d,
-                    found: row.as_ref().len(),
+                    found: row.len(),
                 });
             }
+            if row.iter().any(|v| !v.is_finite()) {
+                return Err(NumError::NonFinite("ridge regression features"));
+            }
+        }
+        if ys.iter().any(|y| !y.is_finite()) {
+            return Err(NumError::NonFinite("ridge regression targets"));
         }
         let n = xs.len();
 
@@ -226,12 +234,20 @@ mod tests {
     }
 
     #[test]
-    fn nan_feature_fails_the_factorization() {
-        let xs = vec![vec![1.0, 2.0], vec![f64::NAN, 3.0], vec![3.0, 1.0]];
-        assert!(matches!(
-            RidgeRegression::fit(&xs, &[1.0, 2.0, 3.0], 1e-3),
-            Err(NumError::NotPositiveDefinite { pivot: 0 })
-        ));
+    fn non_finite_input_errors() {
+        let xs = vec![vec![1.0, 2.0], vec![2.0, 3.0], vec![3.0, 1.0]];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad_xs = xs.clone();
+            bad_xs[1][0] = bad;
+            assert_eq!(
+                RidgeRegression::fit(&bad_xs, &[1.0, 2.0, 3.0], 1e-3),
+                Err(NumError::NonFinite("ridge regression features"))
+            );
+            assert_eq!(
+                RidgeRegression::fit(&xs, &[1.0, bad, 3.0], 1e-3),
+                Err(NumError::NonFinite("ridge regression targets"))
+            );
+        }
     }
 
     /// Pins a fit bit for bit. The features span 1 to 1e10, like the
