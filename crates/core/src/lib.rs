@@ -155,11 +155,6 @@ impl Lens {
         &self.evaluator
     }
 
-    /// The Traditional baseline's evaluator (All-Edge objectives).
-    pub fn traditional_evaluator(&self) -> &LensEvaluator {
-        &self.traditional_evaluator
-    }
-
     /// The search configuration.
     pub fn config(&self) -> &SearchConfig {
         &self.config
@@ -208,6 +203,10 @@ impl fmt::Debug for Lens {
     }
 }
 
+/// The multiplicative measurement noise (log-normal σ) of the campaign
+/// that trains the performance predictors.
+const PREDICTOR_NOISE: f64 = 0.05;
+
 /// Builder for [`Lens`].
 #[derive(Clone)]
 pub struct LensBuilder {
@@ -216,7 +215,6 @@ pub struct LensBuilder {
     round_trip: Option<lens_nn::units::Millis>,
     device: DeviceProfile,
     use_predictor: bool,
-    predictor_noise: f64,
     accuracy: Option<Arc<dyn AccuracyEstimator + Send + Sync>>,
     deploy_space: Option<Arc<dyn SearchSpace + Send + Sync>>,
     train_space: Option<Arc<dyn SearchSpace + Send + Sync>>,
@@ -231,7 +229,6 @@ impl Default for LensBuilder {
             round_trip: None,
             device: DeviceProfile::jetson_tx2_gpu(),
             use_predictor: true,
-            predictor_noise: 0.05,
             accuracy: None,
             deploy_space: None,
             train_space: None,
@@ -283,12 +280,6 @@ impl LensBuilder {
         self
     }
 
-    /// Measurement noise used when training the predictors.
-    pub fn predictor_noise(mut self, sigma: f64) -> Self {
-        self.predictor_noise = sigma;
-        self
-    }
-
     /// Replaces the accuracy estimator (default:
     /// [`SurrogateAccuracy::cifar10`]).
     pub fn accuracy_estimator(
@@ -337,12 +328,6 @@ impl LensBuilder {
         self
     }
 
-    /// Overrides the whole search configuration.
-    pub fn search_config(mut self, config: SearchConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Assembles the [`Lens`] instance: trains the performance predictors
     /// (unless disabled) and wires both the LENS and Traditional
     /// evaluators.
@@ -379,7 +364,7 @@ impl LensBuilder {
         let model: Arc<dyn LayerPerformanceModel + Send + Sync> = if self.use_predictor {
             Arc::new(PerformancePredictor::train(
                 &self.device,
-                self.predictor_noise,
+                PREDICTOR_NOISE,
                 self.config.seed ^ 0x0DE51CE5,
             )?)
         } else {

@@ -312,7 +312,7 @@ impl FleetEngine {
 
     /// The cohort a device id belongs to — deterministic proportional
     /// assignment, independent of the shard count.
-    pub fn cohort_of(&self, device_id: usize) -> usize {
+    fn cohort_of(&self, device_id: usize) -> usize {
         let position = (device_id as f64 + 0.5) / self.scenario.population as f64;
         self.cumulative
             .iter()

@@ -42,12 +42,6 @@ impl RegionShare {
             ],
         }
     }
-
-    /// Overrides the technology mix.
-    pub fn with_technologies(mut self, technologies: Vec<(WirelessTechnology, f64)>) -> Self {
-        self.technologies = technologies;
-        self
-    }
 }
 
 /// When devices issue inference requests.
@@ -175,11 +169,6 @@ impl WorkloadCurve {
     /// The phases as configured (`(start_us, multiplier_fp)`).
     pub fn phases(&self) -> &[(u64, i64)] {
         &self.phases
-    }
-
-    /// The per-region time shift (µs).
-    pub fn region_offset_us(&self) -> u64 {
-        self.region_offset_us
     }
 
     /// The phase index active at `time_us` for `region` — pure integer
@@ -944,11 +933,10 @@ mod tests {
             ),
             (
                 "technology",
-                FleetScenario::builder().regions(vec![RegionShare::new(
-                    Region::new("X", Mbps::new(1.0)),
-                    1.0,
-                )
-                .with_technologies(vec![])]),
+                FleetScenario::builder().regions(vec![RegionShare {
+                    technologies: vec![],
+                    ..RegionShare::new(Region::new("X", Mbps::new(1.0)), 1.0)
+                }]),
             ),
             (
                 "curve",
