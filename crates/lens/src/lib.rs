@@ -14,11 +14,11 @@
 //! | [`wireless`] | Eq. 3–6 communication costs, LTE/WiFi/3G power models, regions, traces |
 //! | [`gp`] | Gaussian-process MOBO (Dragonfly stand-in) |
 //! | [`pareto`] | dominance, frontiers, coverage metrics, hypervolume |
-//! | [`accuracy`] | CIFAR-10 error surrogate + a real MLP trainer |
+//! | [`accuracy`] | CIFAR-10 error surrogate + real MLP and CNN trainers |
 //! | [`runtime`] | deployment options, `t_u` thresholds, trace-driven Fig 8 simulator |
 //! | [`fleet`] | sharded discrete-event fleet simulator: device populations vs a finite shared cloud |
 //! | [`telemetry`] | deterministic observability: sim-time flight recorder, fixed-point metrics timelines, engine profiling |
-//! | [`num`] | dense linear algebra, ridge regression, distributions |
+//! | [`num`] | packed Cholesky factor, ridge regression, distributions |
 //!
 //! # Quickstart
 //!

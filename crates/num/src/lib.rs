@@ -47,7 +47,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum NumError {
-    /// A matrix was constructed from rows of inconsistent lengths.
+    /// The rows of a data set differ in length.
     RaggedRows {
         /// Length of the first row.
         expected: usize,
