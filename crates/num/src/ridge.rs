@@ -112,27 +112,26 @@ impl RidgeRegression {
 
         let y_mean = ys.iter().sum::<f64>() / n as f64;
 
-        // XᵀX's lower triangle, packed row by row as `Cholesky::push_row`
-        // takes it, built one standardized sample at a time. Each entry sums
-        // the samples in order from +0.0.
-        let mut gram = vec![0.0; d * (d + 1) / 2];
+        // XᵀX's lower triangle, row `i` holding its `i + 1` entries up to
+        // the diagonal as `Cholesky::push_row` takes them, built one
+        // standardized sample at a time. Each entry sums the samples in
+        // order from +0.0.
+        let mut gram: Vec<Vec<f64>> = (1..=d).map(|len| vec![0.0; len]).collect();
         let mut z = vec![0.0; d];
         for row in xs {
             for (((zj, &v), m), s) in z.iter_mut().zip(row.as_ref()).zip(&means).zip(&scales) {
                 *zj = (v - m) / s;
             }
-            for (i, &zi) in z.iter().enumerate() {
-                let gram_row = &mut gram[i * (i + 1) / 2..][..=i];
+            for (gram_row, &zi) in gram.iter_mut().zip(&z) {
                 for (g, &zj) in gram_row.iter_mut().zip(&z) {
                     *g += zi * zj;
                 }
             }
         }
         let mut chol = Cholesky::with_capacity(d);
-        for i in 0..d {
-            let gram_row = &mut gram[i * (i + 1) / 2..][..=i];
+        for (i, mut gram_row) in gram.into_iter().enumerate() {
             gram_row[i] += lambda.max(1e-12);
-            chol.push_row(gram_row)?;
+            chol.push_row(&gram_row)?;
         }
         // Xᵀ(y − ȳ): each entry is an in-order `Iterator::sum` over the
         // samples, as `linalg::dot` computes it.
