@@ -20,8 +20,8 @@ use crate::NumError;
 
 /// The lower-triangular Cholesky factor of a symmetric positive-definite
 /// matrix, stored packed row by row, together with the solve routines GP
-/// regression needs. The default value is the factor of the empty matrix,
-/// which [`push_row`](Self::push_row) grows.
+/// and ridge regression need. The default value is the factor of the empty
+/// matrix, which [`push_row`](Self::push_row) grows.
 ///
 /// # Examples
 ///
