@@ -51,21 +51,24 @@ impl RidgeRegression {
     /// * [`NumError::EmptyInput`] if `xs` is empty or has zero-width rows.
     /// * [`NumError::RaggedRows`] if feature rows disagree in length.
     /// * [`NumError::DimensionMismatch`] if `xs.len() != ys.len()`.
-    /// * [`NumError::NonFinite`] if a feature or target is NaN or infinite.
+    /// * [`NumError::NonFinite`] if a feature or target is NaN or infinite,
+    ///   or if a sum over them overflows.
     /// * [`NumError::NotPositiveDefinite`] if the regularized normal
     ///   equations do not factor.
     pub fn fit<R: AsRef<[f64]>>(xs: &[R], ys: &[f64], lambda: f64) -> Result<Self, NumError> {
         if xs.is_empty() {
             return Err(NumError::EmptyInput("ridge regression features"));
         }
+        let d = xs[0].as_ref().len();
         if xs.len() != ys.len() {
+            // The features are an n × d matrix and the targets an m × 1
+            // column.
             return Err(NumError::DimensionMismatch {
                 op: "ridge fit",
-                lhs: (xs.len(), 0),
-                rhs: (ys.len(), 0),
+                lhs: (xs.len(), d),
+                rhs: (ys.len(), 1),
             });
         }
-        let d = xs[0].as_ref().len();
         if d == 0 {
             return Err(NumError::EmptyInput("ridge regression feature width"));
         }
@@ -109,6 +112,11 @@ impl RidgeRegression {
                 *s = 1.0;
             }
         }
+        // Finite features can still overflow a column's sum or its sum of
+        // squares.
+        if means.iter().chain(&scales).any(|v| !v.is_finite()) {
+            return Err(NumError::NonFinite("ridge regression features"));
+        }
 
         let y_mean = ys.iter().sum::<f64>() / n as f64;
 
@@ -143,6 +151,12 @@ impl RidgeRegression {
                     .sum()
             })
             .collect();
+        // With finite features each standardized value is at most √n in
+        // magnitude, so an overflow here, or in ȳ or a y − ȳ before it,
+        // comes from the targets.
+        if xty.iter().any(|v| !v.is_finite()) {
+            return Err(NumError::NonFinite("ridge regression targets"));
+        }
         let weights = chol.solve(&xty);
 
         Ok(RidgeRegression {
@@ -216,11 +230,12 @@ mod tests {
 
     #[test]
     fn mismatched_targets_error() {
-        let xs = vec![vec![1.0], vec![2.0]];
-        assert!(matches!(
-            RidgeRegression::fit(&xs, &[1.0], 1.0),
-            Err(NumError::DimensionMismatch { .. })
-        ));
+        let xs = vec![vec![1.0, 4.0], vec![2.0, 5.0], vec![3.0, 6.0]];
+        let err = RidgeRegression::fit(&xs, &[1.0, 2.0], 1.0).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "dimension mismatch in ridge fit: 3x2 vs 2x1"
+        );
     }
 
     #[test]
@@ -247,6 +262,19 @@ mod tests {
                 Err(NumError::NonFinite("ridge regression targets"))
             );
         }
+        // Finite inputs whose sums overflow: the target sum, one y − ȳ
+        // under a finite mean, and a feature column's sum.
+        let column = [[1.0], [2.0], [3.0]];
+        for ys in [[1e308, 1.5e308, 1.7e308], [1.7e308, -1.7e308, -1.7e308]] {
+            assert_eq!(
+                RidgeRegression::fit(&column, &ys, 1e-3),
+                Err(NumError::NonFinite("ridge regression targets"))
+            );
+        }
+        assert_eq!(
+            RidgeRegression::fit(&[[1e308], [1.5e308], [1.7e308]], &[1.0, 2.0, 3.0], 1e-3),
+            Err(NumError::NonFinite("ridge regression features"))
+        );
     }
 
     /// Pins a fit bit for bit. The features span 1 to 1e10, like the
