@@ -1,8 +1,8 @@
 //! Device profiles: the calibrated constants of the simulated testbed.
 //!
 //! A [`DeviceProfile`] parameterizes the analytic ground-truth model with
-//! six numbers per compute class (effective throughputs, per-layer launch
-//! overhead, and per-class power draws). The two Jetson TX2 profiles are
+//! seven numbers: three effective throughputs, a per-layer launch overhead
+//! and three per-class power draws. The two Jetson TX2 profiles are
 //! *calibrated*, not measured: their values are chosen so that the AlexNet
 //! motivational analysis of §II reproduces — FC layers ≈ 50 % of latency
 //! (Fig 1), every crossover of Fig 2, and all twelve deployment-preference
@@ -34,7 +34,6 @@ pub struct DeviceProfile {
     conv_power_mw: f64,
     dense_power_mw: f64,
     pool_power_mw: f64,
-    idle_power_mw: f64,
 }
 
 impl DeviceProfile {
@@ -53,7 +52,6 @@ impl DeviceProfile {
             conv_power_mw: 5300.0,
             dense_power_mw: 5300.0,
             pool_power_mw: 3000.0,
-            idle_power_mw: 1900.0,
         }
     }
 
@@ -68,7 +66,6 @@ impl DeviceProfile {
             conv_power_mw: 5500.0,
             dense_power_mw: 6000.0,
             pool_power_mw: 2500.0,
-            idle_power_mw: 1400.0,
         }
     }
 
@@ -88,7 +85,6 @@ impl DeviceProfile {
         conv_power_mw: f64,
         dense_power_mw: f64,
         pool_power_mw: f64,
-        idle_power_mw: f64,
     ) -> Self {
         for (what, v) in [
             ("conv_gflops", conv_gflops),
@@ -104,10 +100,6 @@ impl DeviceProfile {
             layer_overhead_ms.is_finite() && layer_overhead_ms >= 0.0,
             "layer_overhead_ms must be non-negative"
         );
-        assert!(
-            idle_power_mw.is_finite() && idle_power_mw >= 0.0,
-            "idle_power_mw must be non-negative"
-        );
         DeviceProfile {
             name: name.into(),
             conv_gflops,
@@ -117,7 +109,6 @@ impl DeviceProfile {
             conv_power_mw,
             dense_power_mw,
             pool_power_mw,
-            idle_power_mw,
         }
     }
 
@@ -160,12 +151,6 @@ impl DeviceProfile {
     pub fn pool_power(&self) -> Milliwatts {
         Milliwatts::new(self.pool_power_mw)
     }
-
-    /// Idle power draw (used by ablations; the paper neglects idle energy
-    /// during cloud execution and so does the default cost model).
-    pub fn idle_power(&self) -> Milliwatts {
-        Milliwatts::new(self.idle_power_mw)
-    }
 }
 
 impl fmt::Display for DeviceProfile {
@@ -193,14 +178,14 @@ mod tests {
 
     #[test]
     fn custom_profile_validates() {
-        let p = DeviceProfile::custom("x", 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0);
+        let p = DeviceProfile::custom("x", 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0);
         assert_eq!(p.name(), "x");
     }
 
     #[test]
     #[should_panic(expected = "conv_gflops must be positive")]
     fn custom_profile_rejects_zero_throughput() {
-        DeviceProfile::custom("x", 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0);
+        DeviceProfile::custom("x", 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0);
     }
 
     #[test]

@@ -169,15 +169,6 @@ impl Layer {
         &self.kind
     }
 
-    /// `true` if the layer performs trainable computation (conv or dense) —
-    /// these dominate latency; pooling is cheap, flatten/dropout are free.
-    pub fn is_compute(&self) -> bool {
-        matches!(
-            self.kind,
-            LayerKind::Conv2d { .. } | LayerKind::Dense { .. }
-        )
-    }
-
     /// Validates the layer's parameters.
     ///
     /// # Errors
