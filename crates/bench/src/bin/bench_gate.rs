@@ -13,9 +13,8 @@
 //! The gate measures **in-process** (min-of-N wall clock) instead of
 //! parsing bench output, and it builds its workloads from the *same*
 //! constructors the criterion benches use (`lens_bench::workloads`), so
-//! gate and bench cannot drift apart silently;
-//! `tests/workspace_integrity.rs` pins the wiring. A first pass beyond
-//! the limit earns exactly one re-measure before the gate fails — one
+//! gate and bench cannot drift apart silently. A first pass beyond the
+//! limit earns exactly one re-measure before the gate fails — one
 //! scheduler spike on a shared runner should not page anyone, while a
 //! real regression fails both passes.
 //!
