@@ -124,49 +124,62 @@ impl ThroughputTrace {
     ///
     /// # Errors
     ///
-    /// Returns [`WirelessError::ParseTrace`] for malformed rows and
+    /// Returns [`WirelessError::ParseTrace`] for malformed rows — a
+    /// non-finite timestamp, a timestamp no later than the row before, an
+    /// interval too large to hold in milliseconds, or a throughput that is
+    /// not finite and positive — and
     /// [`WirelessError::InvalidTrace`] when no samples are present.
     pub fn from_csv(text: &str) -> Result<Self, WirelessError> {
-        let mut times = Vec::new();
+        let mut previous: Option<f64> = None;
+        let mut interval_ms = 5.0 * 60_000.0;
         let mut samples = Vec::new();
         for (idx, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || (idx == 0 && line.starts_with("minutes")) {
                 continue;
             }
+            let bad_row = |reason: String| WirelessError::ParseTrace {
+                line: idx + 1,
+                reason,
+            };
             let mut parts = line.split(',');
             let parse = |s: Option<&str>, what: &str| -> Result<f64, WirelessError> {
-                s.ok_or_else(|| WirelessError::ParseTrace {
-                    line: idx + 1,
-                    reason: format!("missing {what}"),
-                })?
-                .trim()
-                .parse::<f64>()
-                .map_err(|e| WirelessError::ParseTrace {
-                    line: idx + 1,
-                    reason: format!("bad {what}: {e}"),
-                })
+                s.ok_or_else(|| bad_row(format!("missing {what}")))?
+                    .trim()
+                    .parse::<f64>()
+                    .map_err(|e| bad_row(format!("bad {what}: {e}")))
             };
             let minutes = parse(parts.next(), "timestamp")?;
             let mbps = parse(parts.next(), "throughput")?;
-            if !mbps.is_finite() || mbps <= 0.0 {
-                return Err(WirelessError::ParseTrace {
-                    line: idx + 1,
-                    reason: format!("throughput must be positive, got {mbps}"),
-                });
+            if !minutes.is_finite() {
+                return Err(bad_row(format!("timestamp must be finite, got {minutes}")));
             }
-            times.push(minutes);
+            if let Some(previous) = previous {
+                if minutes <= previous {
+                    return Err(bad_row(format!(
+                        "timestamps must increase, got {minutes} after {previous}"
+                    )));
+                }
+                if samples.len() == 1 {
+                    interval_ms = (minutes - previous) * 60_000.0;
+                    if !interval_ms.is_finite() {
+                        return Err(bad_row(format!(
+                            "interval from {previous} to {minutes} minutes overflows"
+                        )));
+                    }
+                    interval_ms = interval_ms.max(1.0);
+                }
+            }
+            if !mbps.is_finite() || mbps <= 0.0 {
+                return Err(bad_row(format!("throughput must be positive, got {mbps}")));
+            }
+            previous = Some(minutes);
             samples.push(Mbps::new(mbps));
         }
         if samples.is_empty() {
             return Err(WirelessError::InvalidTrace("no samples in CSV".into()));
         }
-        let interval = if times.len() >= 2 {
-            Millis::new(((times[1] - times[0]) * 60_000.0).max(1.0))
-        } else {
-            Millis::new(5.0 * 60_000.0)
-        };
-        ThroughputTrace::new(samples, interval)
+        ThroughputTrace::new(samples, Millis::new(interval_ms))
     }
 }
 
@@ -448,6 +461,48 @@ mod tests {
         assert!(matches!(err, WirelessError::ParseTrace { line: 2, .. }));
         let err = ThroughputTrace::from_csv("minutes,mbps\n").unwrap_err();
         assert!(matches!(err, WirelessError::InvalidTrace(_)));
+    }
+
+    /// Parses a two-row trace whose second timestamp is `second`.
+    fn parse_second_timestamp(second: &str) -> Result<ThroughputTrace, WirelessError> {
+        ThroughputTrace::from_csv(&format!("minutes,mbps\n0,5\n{second},6\n"))
+    }
+
+    fn assert_rejected_at_line_3(second: &str) {
+        let result = parse_second_timestamp(second);
+        assert!(
+            matches!(result, Err(WirelessError::ParseTrace { line: 3, .. })),
+            "timestamp {second}: {result:?}"
+        );
+    }
+
+    #[test]
+    fn csv_rejects_a_nan_timestamp() {
+        assert_rejected_at_line_3("NaN");
+    }
+
+    #[test]
+    fn csv_rejects_an_infinite_timestamp() {
+        assert_rejected_at_line_3("inf");
+    }
+
+    #[test]
+    fn csv_rejects_a_decreasing_timestamp() {
+        assert_rejected_at_line_3("-5");
+    }
+
+    #[test]
+    fn csv_rejects_a_repeated_timestamp() {
+        assert_rejected_at_line_3("0");
+    }
+
+    #[test]
+    fn csv_rejects_an_interval_that_overflows() {
+        assert_rejected_at_line_3("1e305");
+        assert_eq!(
+            parse_second_timestamp("1e300").unwrap().interval(),
+            Millis::new(1e300 * 60_000.0)
+        );
     }
 
     #[test]
