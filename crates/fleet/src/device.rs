@@ -2,12 +2,13 @@
 //!
 //! Every device composes an online [`ThroughputTracker`] and a deployment
 //! policy over its cohort's shared [`DominanceMap`]; the engine feeds it
-//! samples of its own synthesized throughput trace, which the shard's
-//! sample arena holds. A [`Cohort`] is one (region, technology) cell of the
-//! scenario mix: all its devices see the same deployment options and
-//! dominance structure (those depend only on the network, hardware, and
-//! radio technology), while each device wanders through its own throughput
-//! trajectory.
+//! samples of its own synthesized throughput trace, which the shard step
+//! draws one epoch at a time from the cohort's [`GaussMarkov`] process and
+//! the device's own generator state. A [`Cohort`] is one (region,
+//! technology) cell of the scenario mix: all its devices see the same
+//! deployment options and dominance structure (those depend only on the
+//! network, hardware, and radio technology), while each device wanders
+//! through its own throughput trajectory.
 //!
 //! Devices also implement the *execution side* of admission control: when
 //! their region's published [`RegionSignal`] carries a non-zero shed
@@ -23,7 +24,7 @@ use crate::{mix_seed, FleetError};
 use lens_nn::units::Mbps;
 use lens_runtime::{DeploymentOption, DeploymentPlanner, DominanceMap, Metric, ThroughputTracker};
 use lens_telemetry::TraceEvent;
-use lens_wireless::{Region, WirelessTechnology};
+use lens_wireless::{GaussMarkov, Region, WirelessTechnology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
@@ -38,6 +39,11 @@ pub struct Cohort {
     pub region: Region,
     /// The radio technology (fixes the power model and RTT).
     pub technology: WirelessTechnology,
+    /// The Gauss–Markov process every member device's uplink throughput
+    /// follows (around the region's uplink, at the technology's
+    /// volatility, one sample per trace interval); each device streams its
+    /// own seeded trace from it.
+    pub(crate) throughput: GaussMarkov,
     /// The enumerated deployment options.
     pub options: Vec<DeploymentOption>,
     /// Dominance map over `options` for the scenario metric.
@@ -250,8 +256,9 @@ impl Device {
     /// option's own: the region tier adds the cloud's share when it books
     /// the offload.
     ///
-    /// The engine's shard step reads `tu` from its epoch-major sample
-    /// arena, where all of an epoch's reads land in one contiguous row.
+    /// The engine's shard step reads `tu` from the epoch's sample row,
+    /// which it refills with one draw per device at the top of every
+    /// epoch.
     pub(crate) fn serve_with_sample(
         &mut self,
         cohort: &Cohort,
@@ -427,6 +434,7 @@ mod tests {
             region_index: 0,
             region: Region::new("USA", Mbps::new(7.5)),
             technology: WirelessTechnology::Lte,
+            throughput: GaussMarkov::for_technology(Mbps::new(7.5), WirelessTechnology::Lte),
             options,
             map,
             fixed_index: None,

@@ -5,11 +5,10 @@
 //! and [`FleetEngine::run`] executes the population: devices are split
 //! into contiguous id ranges (shards), each shard owns an event queue
 //! keyed by integer microseconds (an O(1) sorted ring under periodic
-//! arrivals, a binary heap under Poisson — `EventQueue` below) plus an
-//! epoch-major arena of its devices' throughput samples, and shards
-//! synchronize with the shared cloud only at epoch barriers (see the
-//! crate-level docs for the determinism contract and the one-epoch
-//! contention lag).
+//! arrivals, a binary heap under Poisson — `EventQueue` below) plus each
+//! device's throughput-trace generator state, and shards synchronize with
+//! the shared cloud only at epoch barriers (see the crate-level docs for
+//! the determinism contract and the one-epoch contention lag).
 //!
 //! Under periodic arrivals a shard stores its devices in **firing
 //! order** — sorted by (phase offset, device id) — so each period's pops
@@ -19,8 +18,17 @@
 //! the same µs belong to devices with the same offset, which sort by id.
 //! The ring therefore pops the same (time, device id) sequence a heap over
 //! id-ordered storage would, and every report, request run and trace event
-//! is unchanged. Poisson shards keep id order. The arena is the only copy
-//! of the samples: each synthesized trace is written into it and dropped.
+//! is unchanged. Poisson shards keep id order.
+//!
+//! No trace is stored whole. Each device keeps its Gauss–Markov generator
+//! state ([`GaussMarkovState`], 40 B), and at the top of every epoch the
+//! shard step draws one sample per device into a reusable row, whether or
+//! not the device fires in that epoch. Each device has its own RNG and
+//! takes its draws in trace order, so the samples are bit-identical to
+//! the pre-generated trace
+//! [`ThroughputTrace::synthesize`](lens_wireless::ThroughputTrace::synthesize)
+//! gives for the device's seed, and a shard's memory does not grow with
+//! the horizon.
 //!
 //! Both cloud fidelities run through **one shard step and one barrier
 //! loop** (`FleetEngine::run_tier`), generic over the `RegionTier` trait
@@ -66,7 +74,7 @@ use lens_telemetry::{
     BarrierPhase, EngineProfile, FlightRecorder, MetricsRegistry, NullSink, PhaseCounters,
     PhaseProbe, RunTelemetry, SeriesId, Sink, TraceEvent, METRIC_FP_SCALE,
 };
-use lens_wireless::{ThroughputTrace, WirelessLink};
+use lens_wireless::{GaussMarkov, GaussMarkovState, WirelessLink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -95,11 +103,13 @@ struct ShardState {
     devices: Vec<Device>,
     /// Pending events keyed by (event time µs, local device index).
     queue: EventQueue,
-    /// Epoch-major throughput-sample arena, the only copy of the samples:
-    /// `samples[e * n + local]` is device `local`'s sample for epoch `e`,
-    /// so all of one epoch's reads land in a single contiguous row, read
+    /// `traces[local]` is device `local`'s throughput trace in progress:
+    /// its generator state, advanced one sample per epoch.
+    traces: Vec<GaussMarkovState>,
+    /// The current epoch's throughput samples, `row[local]` for device
+    /// `local`, refilled from `traces` at the top of every epoch and read
     /// front to back in firing order.
-    samples: Vec<Mbps>,
+    row: Vec<Mbps>,
     report: FleetReport,
     /// `ids[local]` is the stable, shard-count-invariant device id that
     /// requests and trace events carry.
@@ -270,6 +280,8 @@ impl FleetEngine {
                     region_index,
                     region: share.region.clone(),
                     technology: *tech,
+                    throughput: GaussMarkov::for_technology(share.region.uplink(), *tech)
+                        .with_interval(scenario.trace_interval),
                     options,
                     map,
                     fixed_index: None,
@@ -321,9 +333,10 @@ impl FleetEngine {
     }
 
     /// Builds one device session, its first firing time (µs) for the
-    /// shard queue, and its synthesized throughput trace, which the caller
-    /// stores in its shard's sample arena.
-    fn build_device(&self, device_id: usize, num_samples: usize) -> (Device, u64, ThroughputTrace) {
+    /// shard queue, and the start of its throughput trace, which the
+    /// shard step advances one sample per epoch through the cohort's
+    /// generator.
+    fn build_device(&self, device_id: usize) -> (Device, u64, GaussMarkovState) {
         let scenario = &self.scenario;
         let cohort_idx = self.cohort_of(device_id);
         let cohort = &self.cohorts[cohort_idx];
@@ -334,13 +347,7 @@ impl FleetEngine {
                 (mix_seed(dseed, 0xF00D) as f64 / u64::MAX as f64) < high_fraction
             }
         };
-        let trace = ThroughputTrace::synthesize(
-            &cohort.region,
-            cohort.technology,
-            num_samples,
-            scenario.trace_interval,
-            mix_seed(dseed, 1),
-        );
+        let trace = cohort.throughput.start(mix_seed(dseed, 1));
         let mut device = Device::new(
             cohort_idx as u32,
             high_priority,
@@ -488,7 +495,7 @@ impl FleetEngine {
         // Build shards; each constructs its own contiguous slice of the
         // population (device state depends only on the device id and the
         // scenario seed, never on the shard).
-        let mut shard_states = self.build_shards(num_epochs);
+        let mut shard_states = self.build_shards();
 
         let parallel = replay_in_parallel(scenario.replay(), num_regions);
         // Barrier-published per-region signals, one epoch behind.
@@ -515,14 +522,7 @@ impl FleetEngine {
                 region.push(s.wait_low_ms);
             }
 
-            self.advance_epoch::<T>(
-                &mut shard_states,
-                &signals,
-                pricing,
-                epoch,
-                epoch_end,
-                S::ENABLED,
-            );
+            self.advance_epoch::<T>(&mut shard_states, &signals, pricing, epoch_end, S::ENABLED);
             merge_shard_trace::<S>(
                 sink,
                 &mut profile,
@@ -690,7 +690,6 @@ impl FleetEngine {
         shard_states: &mut [ShardState],
         signals: &[RegionSignal],
         pricing: Option<&PipelinePricing>,
-        epoch_index: usize,
         epoch_end: u64,
         trace: bool,
     ) {
@@ -721,7 +720,6 @@ impl FleetEngine {
                 &self.cohorts,
                 ctx,
                 &charge,
-                epoch_index,
                 epoch_end,
                 horizon_us,
                 step,
@@ -740,7 +738,7 @@ impl FleetEngine {
         });
     }
 
-    fn build_shards(&self, num_samples: usize) -> Vec<ShardState> {
+    fn build_shards(&self) -> Vec<ShardState> {
         let scenario = &self.scenario;
         let region_names = scenario.region_names();
         let num_regions = scenario.regions.len();
@@ -765,25 +763,18 @@ impl FleetEngine {
                         let n = ids.len();
                         let mut devices = Vec::with_capacity(n);
                         let mut seeds = Vec::with_capacity(n);
-                        // Epoch-major sample arena: row `e` holds every
-                        // device's sample for epoch `e`, contiguously. The
-                        // placeholder is overwritten: each trace fills its
-                        // device's column.
-                        let mut samples = vec![Mbps::new(1.0); num_samples * n];
+                        let mut traces = Vec::with_capacity(n);
                         for (local, &id) in ids.iter().enumerate() {
-                            let (device, first_event_us, trace) =
-                                self.build_device(id as usize, num_samples);
-                            debug_assert_eq!(trace.len(), num_samples);
-                            for (row, &sample) in samples.chunks_exact_mut(n).zip(trace.samples()) {
-                                row[local] = sample;
-                            }
+                            let (device, first_event_us, trace) = self.build_device(id as usize);
                             seeds.push((first_event_us, local as u32));
                             devices.push(device);
+                            traces.push(trace);
                         }
                         ShardState {
                             devices,
                             queue: EventQueue::new(&scenario.arrival, seeds),
-                            samples,
+                            traces,
+                            row: Vec::with_capacity(n),
                             report: FleetReport::empty(
                                 LATENCY_BIN_MS,
                                 ENERGY_BIN_MJ,
@@ -976,18 +967,19 @@ fn flush_barrier_outputs<S: Sink>(
     });
 }
 
-/// Advances one shard's event queue to `epoch_end`. Local serves are
-/// recorded in the shard's report; every offload goes to the tier `T` as
-/// one [`OffloadRequest`] bound for its *destination* region (a failed
-/// over request serves in the sibling), and `T` books it into the
-/// shard's epoch scratch.
+/// Advances one shard's event queue to `epoch_end`. It first draws the
+/// epoch's throughput sample of every device into the shard's row, then
+/// serves the epoch's events against it. Local serves are recorded in the
+/// shard's report; every offload goes to the tier `T` as one
+/// [`OffloadRequest`] bound for its *destination* region (a failed over
+/// request serves in the sibling), and `T` books it into the shard's
+/// epoch scratch.
 #[allow(clippy::too_many_arguments)]
 fn advance_shard<T: RegionTier>(
     state: &mut ShardState,
     cohorts: &[Cohort],
     ctx: ServeContext<'_>,
     charge: &CloudCharge<'_>,
-    epoch_index: usize,
     epoch_end: u64,
     horizon_us: u64,
     step: ArrivalStep,
@@ -996,7 +988,8 @@ fn advance_shard<T: RegionTier>(
     let ShardState {
         devices,
         queue,
-        samples,
+        traces,
+        row,
         report,
         ids,
         epoch: output,
@@ -1008,12 +1001,23 @@ fn advance_shard<T: RegionTier>(
     }
     output.events.clear();
     output.counters = PhaseCounters::default();
-    let n = devices.len();
-    // Every event in this epoch reads the same trace-sample row: the
-    // sample index is `time_us / interval_us`, the interval *is* the
+    // Every event in this epoch reads the same trace sample per device:
+    // the sample index is `time_us / interval_us`, the interval *is* the
     // epoch length, and the queue never holds an event before the
-    // current epoch — so the division is loop-invariant.
-    let row = &samples[epoch_index * n..(epoch_index + 1) * n];
+    // current epoch. So each trace advances exactly once per epoch,
+    // whether or not its device fires, and the draws stay in the order
+    // a whole pre-generated trace would take them.
+    row.clear();
+    row.extend(
+        traces
+            .iter_mut()
+            .zip(devices.iter())
+            .map(|(progress, device)| {
+                cohorts[device.cohort_index()]
+                    .throughput
+                    .next_sample(progress)
+            }),
+    );
     while let Some((time, local)) = queue.pop_before(epoch_end) {
         if trace {
             output.counters.events_popped += 1;
@@ -1070,7 +1074,7 @@ mod tests {
     use crate::scenario::RegionShare;
     use lens_nn::units::{Mbps, Millis};
     use lens_runtime::{DeploymentKind, Metric};
-    use lens_wireless::{Region, WirelessTechnology};
+    use lens_wireless::{Region, ThroughputTrace, WirelessTechnology};
 
     fn small_scenario(shards: usize) -> FleetScenario {
         FleetScenario::builder()
@@ -1572,7 +1576,7 @@ mod tests {
             .unwrap();
         let engine = FleetEngine::new(scenario).unwrap();
         // The second shard, so local indices and device ids differ.
-        let mut shard = engine.build_shards(1).pop().unwrap();
+        let mut shard = engine.build_shards().pop().unwrap();
         let n = shard.devices.len();
         let mut by_id = shard.ids.clone();
         by_id.sort_unstable();
@@ -1604,6 +1608,75 @@ mod tests {
         // Every period walks the storage front to back.
         for period in popped_locals.chunks(n) {
             assert!(period.iter().copied().eq(0..n as u32));
+        }
+    }
+
+    #[test]
+    fn streamed_rows_match_each_devices_synthesized_trace() {
+        // 10.5 one-minute epochs over two shards: the last epoch is
+        // partial, and under either arrival model each device's row must
+        // walk the first 11 samples of the trace `synthesize` gives for
+        // its seed, whether or not the device fired in the epoch.
+        for arrival in [
+            ArrivalModel::Periodic {
+                period: Millis::new(60_000.0),
+            },
+            ArrivalModel::Poisson {
+                mean_interarrival: Millis::new(90_000.0),
+            },
+        ] {
+            let scenario = FleetScenario::builder()
+                .population(301)
+                .horizon(Millis::new(630_000.0))
+                .trace_interval(Millis::new(60_000.0))
+                .arrival(arrival)
+                .serving(CloudServing::single(4, 10.0))
+                .shards(2)
+                .seed(42)
+                .build()
+                .unwrap();
+            let engine = FleetEngine::new(scenario).unwrap();
+            let (horizon_us, epoch_us, num_epochs) = engine.clock();
+            assert_eq!((num_epochs, horizon_us % epoch_us), (11, epoch_us / 2));
+            let scenario = engine.scenario();
+            let expected: Vec<Vec<Mbps>> = (0..scenario.population)
+                .map(|id| {
+                    let cohort = &engine.cohorts()[engine.cohort_of(id)];
+                    let seed = mix_seed(mix_seed(scenario.seed, id as u64), 1);
+                    ThroughputTrace::synthesize(
+                        &cohort.region,
+                        cohort.technology,
+                        num_epochs,
+                        scenario.trace_interval,
+                        seed,
+                    )
+                    .samples()
+                    .to_vec()
+                })
+                .collect();
+            let signals = vec![RegionSignal::default(); scenario.regions.len()];
+            let mut shards = engine.build_shards();
+            assert_eq!(shards.len(), 2);
+            let epoch_ends = (1..=num_epochs as u64).map(|e| (e * epoch_us).min(horizon_us));
+            for (epoch, epoch_end) in epoch_ends.enumerate() {
+                engine.advance_epoch::<FluidRegionReplay>(
+                    &mut shards,
+                    &signals,
+                    None,
+                    epoch_end,
+                    false,
+                );
+                for shard in &shards {
+                    assert_eq!(shard.row.len(), shard.ids.len());
+                    for (sample, &id) in shard.row.iter().zip(&shard.ids) {
+                        assert_eq!(
+                            sample.get().to_bits(),
+                            expected[id as usize][epoch].get().to_bits(),
+                            "{arrival:?}: device {id}, epoch {epoch}"
+                        );
+                    }
+                }
+            }
         }
     }
 

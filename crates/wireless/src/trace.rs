@@ -389,26 +389,60 @@ impl GaussMarkov {
         Mbps::new((0.01 * self.mean.get()).max(0.05))
     }
 
-    /// Generates a trace deterministically from `seed`.
-    pub fn generate(&self, seed: u64) -> ThroughputTrace {
+    /// Starts the trace of `seed` without materializing it: the returned
+    /// state yields the samples of [`generate`](Self::generate)`(seed)`,
+    /// in order and bit for bit, one [`next_sample`](Self::next_sample)
+    /// call at a time — for callers that stream a trace of any length in
+    /// constant memory.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lens_nn::units::Mbps;
+    /// use lens_wireless::{GaussMarkov, WirelessTechnology};
+    ///
+    /// let g = GaussMarkov::for_technology(Mbps::new(7.5), WirelessTechnology::Lte);
+    /// let mut state = g.start(3);
+    /// let streamed: Vec<Mbps> = (0..40).map(|_| g.next_sample(&mut state)).collect();
+    /// assert_eq!(streamed, g.generate(3).samples());
+    /// ```
+    pub fn start(&self, seed: u64) -> GaussMarkovState {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mean = self.mean.get();
-        let floor = self.floor().get();
         // Start from the stationary distribution so short traces are not
         // biased toward the mean.
-        let mut x = mean + self.sigma * dist::standard_normal(&mut rng);
+        let rate = self.mean.get() + self.sigma * dist::standard_normal(&mut rng);
+        GaussMarkovState { rng, rate }
+    }
+
+    /// Returns the state's current sample, clamped to the
+    /// [`floor`](Self::floor), and takes one AR(1) step.
+    pub fn next_sample(&self, state: &mut GaussMarkovState) -> Mbps {
+        let mean = self.mean.get();
+        let sample = state.rate.max(self.floor().get());
         let innovation_scale = self.sigma * (1.0 - self.ar_coefficient.powi(2)).sqrt();
+        state.rate = mean
+            + self.ar_coefficient * (state.rate - mean)
+            + innovation_scale * dist::standard_normal(&mut state.rng);
+        Mbps::new(sample)
+    }
+
+    /// Generates a trace deterministically from `seed`.
+    pub fn generate(&self, seed: u64) -> ThroughputTrace {
+        let mut state = self.start(seed);
         let samples = (0..self.num_samples)
-            .map(|_| {
-                let sample = x.max(floor);
-                x = mean
-                    + self.ar_coefficient * (x - mean)
-                    + innovation_scale * dist::standard_normal(&mut rng);
-                Mbps::new(sample)
-            })
+            .map(|_| self.next_sample(&mut state))
             .collect();
         ThroughputTrace::new(samples, self.interval).expect("generator produces >=1 sample")
     }
+}
+
+/// A [`GaussMarkov`] trace in progress: the generator's seeded RNG and
+/// its current, unclamped rate (Mbps). [`GaussMarkov::start`] makes one
+/// and [`GaussMarkov::next_sample`] advances it.
+#[derive(Debug, Clone)]
+pub struct GaussMarkovState {
+    rng: StdRng,
+    rate: f64,
 }
 
 #[cfg(test)]
@@ -583,6 +617,66 @@ mod tests {
         for s in t.samples() {
             assert!(s.get() >= 0.05, "sample {s} below floor");
         }
+    }
+
+    #[test]
+    fn streamed_samples_match_generate_bit_for_bit() {
+        // A 0.7 Mbps 3G mean clamps samples to the floor now and then.
+        for (mean, tech) in [0.7, 7.5]
+            .into_iter()
+            .flat_map(|mean| WirelessTechnology::all().map(|tech| (mean, tech)))
+        {
+            for seed in [0, 1, 42, u64::MAX] {
+                for len in [1, 2, 18, 145] {
+                    let g = GaussMarkov::for_technology(Mbps::new(mean), tech).with_samples(len);
+                    let mut state = g.start(seed);
+                    let streamed: Vec<u64> = (0..len)
+                        .map(|_| g.next_sample(&mut state).get().to_bits())
+                        .collect();
+                    let generated: Vec<u64> = g
+                        .generate(seed)
+                        .samples()
+                        .iter()
+                        .map(|s| s.get().to_bits())
+                        .collect();
+                    assert_eq!(
+                        streamed, generated,
+                        "{mean} Mbps {tech} seed {seed} length {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The fleet's digests rest on these bits: 18 samples of a 3G trace
+    /// around 0.7 Mbps, the thirteenth clamped to the 0.05 Mbps floor.
+    #[test]
+    fn streamed_samples_are_pinned_bit_for_bit() {
+        const PINNED: [u64; 18] = [
+            0x3fe64154cca8ab40,
+            0x3fe5c1df9a8e372e,
+            0x3fc003a558886558,
+            0x3fddfb8175895669,
+            0x3ff28857124cbe8d,
+            0x3fe8256209a5442f,
+            0x3fab0761222a8b10,
+            0x3fee84e65d1dd4c4,
+            0x3fd89d9220fd0f13,
+            0x3fe1367b78b1c2ec,
+            0x3fea1294b89db6c5,
+            0x3fc0d170f09eb5bc,
+            0x3fa999999999999a,
+            0x3ff2bc1d82adeece,
+            0x3fe9775f270bf474,
+            0x3fe03c13d4463a89,
+            0x3fd52d4bcb97e5fc,
+            0x3fe1435018f2c469,
+        ];
+        let g = GaussMarkov::for_technology(Mbps::new(0.7), WirelessTechnology::ThreeG);
+        let mut state = g.start(1);
+        let streamed = PINNED.map(|_| g.next_sample(&mut state).get().to_bits());
+        assert_eq!(streamed, PINNED);
+        assert_eq!(PINNED[12], g.floor().get().to_bits());
     }
 
     #[test]
