@@ -31,11 +31,6 @@ impl GroundTruthModel {
         GroundTruthModel { profile }
     }
 
-    /// The underlying profile.
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
-    }
-
     /// Compute time in ms: `2·MACs / (GFLOP/s)`.
     fn compute_ms(&self, macs: u64, gflops: f64) -> f64 {
         2.0 * macs as f64 / (gflops * 1e6)

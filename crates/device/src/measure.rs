@@ -36,8 +36,6 @@ pub struct Measurement {
 /// A full measurement campaign over one device profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MeasurementCampaign {
-    profile: DeviceProfile,
-    noise_sigma: f64,
     measurements: Vec<Measurement>,
 }
 
@@ -68,21 +66,7 @@ impl MeasurementCampaign {
                 true_power_mw: true_power,
             });
         }
-        MeasurementCampaign {
-            profile: profile.clone(),
-            noise_sigma,
-            measurements,
-        }
-    }
-
-    /// The profile that was "measured".
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
-    }
-
-    /// The configured noise level.
-    pub fn noise_sigma(&self) -> f64 {
-        self.noise_sigma
+        MeasurementCampaign { measurements }
     }
 
     /// All measurements.

@@ -103,7 +103,6 @@ struct ClassModels {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PerformancePredictor {
-    profile_name: String,
     models: BTreeMap<LayerClass, ClassModels>,
     report: PredictorReport,
 }
@@ -164,15 +163,9 @@ impl PerformancePredictor {
             models.insert(class, ClassModels { latency, power });
         }
         Ok(PerformancePredictor {
-            profile_name: campaign.profile().name().to_string(),
             models,
             report: PredictorReport { classes },
         })
-    }
-
-    /// Name of the profile the predictor was trained for.
-    pub fn profile_name(&self) -> &str {
-        &self.profile_name
     }
 
     /// The training-quality report (predictions vs noise-free truth).

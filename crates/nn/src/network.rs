@@ -47,12 +47,6 @@ impl Network {
         self.input
     }
 
-    /// The element type of the input as transmitted on the wire (`u8` for
-    /// camera images, matching the paper's 147 kB figure).
-    pub fn input_dtype(&self) -> DType {
-        self.input_dtype
-    }
-
     /// The layers, in execution order.
     pub fn layers(&self) -> &[Layer] {
         &self.layers
@@ -161,7 +155,9 @@ impl NetworkBuilder {
         }
     }
 
-    /// Overrides the input element type.
+    /// Overrides the element type of the input as transmitted on the wire
+    /// (default `u8` for camera images, matching the paper's 147 kB
+    /// figure).
     pub fn input_dtype(mut self, dtype: DType) -> Self {
         self.input_dtype = dtype;
         self
