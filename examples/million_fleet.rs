@@ -13,6 +13,9 @@
 //! Both runs print wall-clock, per-event cost, and the report digest —
 //! re-running with the same population and seed must reproduce the
 //! digests bit-for-bit whatever the shard count, replay mode, or host.
+//! On Linux each run also prints the process's peak resident memory so
+//! far (`VmHWM`) and that peak divided by the population, so memory at
+//! scale shows next to the per-event cost.
 //!
 //! The default population is 100 000 (the scale CI smoke-runs on every
 //! push); set `LENS_MILLION_FLEET_POP=1000000` for the full million.
@@ -57,6 +60,22 @@ fn scenario(population: usize, shards: usize, fidelity: CloudSimFidelity) -> Fle
         .expect("valid scenario")
 }
 
+/// The process's peak resident memory so far in bytes, read from the
+/// `VmHWM` line of `/proc/self/status`; `None` where that file does not
+/// exist (anywhere but Linux) or has no such line.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: u64 = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kib * 1024)
+}
+
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let population: usize = std::env::var("LENS_MILLION_FLEET_POP")
         .ok()
@@ -97,6 +116,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.latency().percentile(99.0),
             report.digest()
         );
+        if let Some(peak) = peak_rss_bytes() {
+            println!(
+                "  peak RSS so far {:.1} MB  ({} B/device)",
+                peak as f64 / (1024.0 * 1024.0),
+                peak / population as u64
+            );
+        }
         match fidelity {
             CloudSimFidelity::Fluid => fluid_ns_per_event = ns_per_event,
             CloudSimFidelity::PerRequest => {
