@@ -8,6 +8,13 @@
 //! scenario produce a bit-identical report across 1, 2, and 4 shards
 //! (`tests/fleet_sim.rs` pins that). Counts saturate at `u64::MAX` rather
 //! than wrapping.
+//!
+//! Each recorded value crosses into fixed point once: [`FleetReport`]
+//! converts an inference's latency and energy a single time each and hands
+//! the same micro-unit integer to its histogram and its region. The
+//! conversion rounds exactly in integer arithmetic and the bin index is a
+//! saturating cast, so recording calls no software `floor`, `round` or
+//! `f64 → i128` routine for any finite value below 2^52 micro-units.
 
 use std::fmt;
 
@@ -18,10 +25,31 @@ const SUM_FP_SCALE: f64 = 1e6;
 /// `SUM_FP_SCALE` as the exact integer it is, for integer-space division.
 const SUM_FP_UNIT: i128 = 1_000_000;
 
+/// 2^52: below it an `f64`'s distance to its truncation is exact, and from
+/// it up every `f64` is already an integer.
+const EXACT_FRACTION_LIMIT: f64 = (1u64 << 52) as f64;
+
+/// `value` in micro-units, rounded half away from zero: bit for bit
+/// `(value * 1e6).round() as i128`.
 pub(crate) fn to_fp(value: f64) -> i128 {
-    // `as` casts saturate at the i128 range (and map NaN to 0), so even
-    // pathological inputs cannot wrap the accumulator.
-    (value * SUM_FP_SCALE).round() as i128
+    round_half_away(value * SUM_FP_SCALE)
+}
+
+/// Bit for bit `x.round() as i128`, in integer arithmetic below 2^52.
+fn round_half_away(x: f64) -> i128 {
+    if x.abs() < EXACT_FRACTION_LIMIT {
+        // A hardware truncation toward zero; `x - t` is exact here, so the
+        // fraction decides the half-away-from-zero step without a rounding
+        // call.
+        let t = x as i64;
+        let fraction = x - t as f64;
+        i128::from(t + i64::from(fraction >= 0.5) - i64::from(fraction <= -0.5))
+    } else {
+        // Integers already, or ±∞ and NaN: `as` saturates at the i128
+        // range (and maps NaN to 0), so even pathological inputs cannot
+        // wrap the accumulator.
+        x.round() as i128
+    }
 }
 
 /// Converts an exact fixed-point (micro-unit) sum into `f64` units.
@@ -109,7 +137,7 @@ impl Histogram {
     /// values at or beyond the histogram range land in the overflow bucket
     /// (still contributing their exact value to `sum`/`min`/`max`).
     pub fn record(&mut self, value: f64) {
-        self.record_n(value, 1);
+        self.record_fp(value, to_fp(value), 1);
     }
 
     /// Records `n` identical observations at once (the fluid-count entry
@@ -119,20 +147,41 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = (value / self.bin_width).floor();
-        if idx >= self.counts.len() as f64 {
-            self.overflow = self.overflow.saturating_add(n);
-        } else {
-            let idx = idx.max(0.0) as usize;
-            self.counts[idx] = self.counts[idx].saturating_add(n);
-            self.hot_bins = self.hot_bins.max(idx + 1);
+        self.record_fp(value, to_fp(value), n);
+    }
+
+    /// Records `n ≥ 1` observations of `value`, whose micro-unit form the
+    /// caller already holds (`value_fp == to_fp(value)`).
+    fn record_fp(&mut self, value: f64, value_fp: i128, n: u64) {
+        match self.bin_of(value) {
+            Some(idx) => {
+                self.counts[idx] = self.counts[idx].saturating_add(n);
+                self.hot_bins = self.hot_bins.max(idx + 1);
+            }
+            None => self.overflow = self.overflow.saturating_add(n),
         }
         self.count = self.count.saturating_add(n);
-        self.sum_fp = self
-            .sum_fp
-            .saturating_add(to_fp(value).saturating_mul(n as i128));
+        let added = if n == 1 {
+            value_fp
+        } else {
+            value_fp.saturating_mul(i128::from(n))
+        };
+        self.sum_fp = self.sum_fp.saturating_add(added);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+    }
+
+    /// The bin `value` falls in, or `None` for the overflow bucket.
+    fn bin_of(&self, value: f64) -> Option<usize> {
+        // `len` is an integer, so `floor(q) >= len` exactly when
+        // `q >= len`; below it the saturating cast is the floor, and sends
+        // negative values and NaN to bin 0.
+        let q = value / self.bin_width;
+        if q >= self.counts.len() as f64 {
+            None
+        } else {
+            Some(q as usize)
+        }
     }
 
     /// Merges another histogram into this one. Counts saturate at
@@ -534,14 +583,14 @@ impl FleetReport {
     }
 
     pub(crate) fn record(&mut self, region_index: usize, served: &crate::device::Served) {
-        self.latency.record(served.latency_ms);
-        self.energy.record(served.energy_mj);
+        let latency_fp = to_fp(served.latency_ms);
+        let energy_fp = to_fp(served.energy_mj);
+        self.latency.record_fp(served.latency_ms, latency_fp, 1);
+        self.energy.record_fp(served.energy_mj, energy_fp, 1);
         let region = &mut self.per_region[region_index];
         region.inferences += 1;
-        region.latency_sum_fp = region
-            .latency_sum_fp
-            .saturating_add(to_fp(served.latency_ms));
-        region.energy_sum_fp = region.energy_sum_fp.saturating_add(to_fp(served.energy_mj));
+        region.latency_sum_fp = region.latency_sum_fp.saturating_add(latency_fp);
+        region.energy_sum_fp = region.energy_sum_fp.saturating_add(energy_fp);
         if served.offloaded {
             region.offloaded += 1;
         }
@@ -936,6 +985,7 @@ impl fmt::Display for FleetReport {
 mod tests {
     use super::*;
     use crate::device::Served;
+    use proptest::prelude::*;
 
     fn served(latency_ms: f64, energy_mj: f64, offloaded: bool, switched: bool) -> Served {
         Served {
@@ -1261,6 +1311,202 @@ mod tests {
         extreme.record(0.5);
         assert_eq!(extreme.sum_fp(), i128::MAX, "sum must stay saturated");
         assert_eq!(extreme.count(), 3);
+    }
+
+    /// The rounding expression `to_fp` replaced: the reference it must
+    /// match bit for bit.
+    fn reference_to_fp(value: f64) -> i128 {
+        (value * 1e6).round() as i128
+    }
+
+    /// The bin index `Histogram::bin_of` replaced.
+    fn reference_bin_of(h: &Histogram, value: f64) -> Option<usize> {
+        let idx = (value / h.bin_width).floor();
+        if idx >= h.counts.len() as f64 {
+            None
+        } else {
+            Some(idx.max(0.0) as usize)
+        }
+    }
+
+    fn assert_to_fp_matches_round(value: f64) {
+        assert_eq!(
+            to_fp(value),
+            reference_to_fp(value),
+            "value {value:e} (bits {:#018x})",
+            value.to_bits()
+        );
+    }
+
+    #[test]
+    fn rounding_matches_round_on_exact_ties_limits_and_non_finite_inputs() {
+        let limit = EXACT_FRACTION_LIMIT;
+        let mut xs = vec![
+            0.0,
+            0.5_f64.next_down(),
+            0.5,
+            0.5_f64.next_up(),
+            1.5_f64.next_down(),
+            limit.next_down(),
+            limit,
+            limit.next_up(),
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        // Ties at ±(k + 0.5) micro-units, up to the last one below 2^52.
+        for k in [1.0, 2.0, 7.0, 1e3, 123_456_789.0, limit - 1.0] {
+            xs.push(k + 0.5);
+        }
+        // The neighbours of 2^52 micro-units, on both sides of the bound.
+        for offset in [-2.0, -1.5, -1.0, -0.5, 1.0, 2.0, 4.0] {
+            xs.push(limit + offset);
+        }
+        for x in xs {
+            for x in [x, -x] {
+                assert_eq!(
+                    round_half_away(x),
+                    x.round() as i128,
+                    "x {x:e} (bits {:#018x})",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn to_fp_matches_round_on_zeros_ties_limits_and_non_finite_values() {
+        let mut values = vec![
+            0.0,
+            // The double nearest 0.49999999999999994e-6.
+            5e-7,
+            1e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        // ±(k + 0.5) micro-units as decimal inputs round either way in the
+        // multiply, so these straddle the ties.
+        for k in [0u64, 1, 2, 7, 1_000, 123_456_789, (1 << 51) - 1] {
+            values.push((k as f64 + 0.5) / 1e6);
+        }
+        // `m / 128` for odd `m` is exactly `m · 7812.5` micro-units: exact
+        // ties, up to just below 2^52 micro-units.
+        for m in [1u64, 3, 5, 127, 129, 1_000_001, (1 << 39) + 1] {
+            let value = m as f64 / 128.0;
+            assert_eq!((value * 1e6).fract(), 0.5, "m {m}");
+            values.push(value);
+        }
+        // Inputs whose product lands around 2^52 micro-units.
+        for offset in [-1.5, -1.0, -0.5, 0.0, 1.0, 2.0] {
+            let value = (EXACT_FRACTION_LIMIT + offset) / 1e6;
+            let mut near = value.next_down().next_down();
+            for _ in 0..5 {
+                values.push(near);
+                near = near.next_up();
+            }
+        }
+        for value in values {
+            assert_to_fp_matches_round(value);
+            assert_to_fp_matches_round(-value);
+        }
+        assert_eq!(to_fp(-0.0), 0);
+        assert_eq!(to_fp(f64::MIN), i128::MIN);
+        assert_eq!(to_fp(f64::NAN), 0);
+    }
+
+    #[test]
+    fn record_gives_each_value_one_conversion_for_both_sums() {
+        let regions = vec!["A".to_string()];
+        let mut r = FleetReport::empty(1.0, 1.0, 100, &regions);
+        let samples = [(12.345_678_5, 5e-7), (7.1, 2.25), (1e-7, 1e9)];
+        for &(latency_ms, energy_mj) in &samples {
+            r.record(0, &served(latency_ms, energy_mj, false, false));
+        }
+        let latency_fp: i128 = samples.iter().map(|s| reference_to_fp(s.0)).sum();
+        let energy_fp: i128 = samples.iter().map(|s| reference_to_fp(s.1)).sum();
+        let region = &r.regions()[0];
+        assert_eq!(r.latency().sum_fp(), latency_fp);
+        assert_eq!(region.latency_sum_fp, latency_fp);
+        assert_eq!(r.energy().sum_fp(), energy_fp);
+        assert_eq!(region.energy_sum_fp, energy_fp);
+    }
+
+    #[test]
+    fn bin_index_matches_floor_on_edges_and_non_finite_values() {
+        let layouts = [
+            (1.0, 4),
+            (0.1, 10),
+            (7.3, 100),
+            (crate::cloud::SOJOURN_BIN_MS, crate::cloud::SOJOURN_BINS),
+        ];
+        for (width, len) in layouts {
+            let h = Histogram::new(width, len);
+            let mut values = vec![
+                -1e300,
+                -5.0 * width,
+                -width,
+                // Values whose quotient lies in (−1, 0).
+                -0.5 * width,
+                -f64::from_bits(1),
+                -0.0,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::MAX,
+                f64::MIN,
+            ];
+            // Every bin edge and its neighbours, through the last bin's
+            // upper edge (k = len).
+            for k in 0..=len {
+                let edge = k as f64 * width;
+                values.extend([edge.next_down(), edge, edge.next_up()]);
+            }
+            for value in values {
+                assert_eq!(
+                    h.bin_of(value),
+                    reference_bin_of(&h, value),
+                    "width {width}, {len} bins, value {value:e}"
+                );
+            }
+        }
+        let h = Histogram::new(1.0, 4);
+        assert_eq!(h.bin_of(4.0), None, "the last bin's upper edge overflows");
+        assert_eq!(h.bin_of(4.0_f64.next_down()), Some(3));
+        assert_eq!(h.bin_of(-0.5), Some(0));
+        assert_eq!(h.bin_of(f64::NAN), Some(0));
+        assert_eq!(h.bin_of(f64::INFINITY), None);
+        assert_eq!(h.bin_of(f64::NEG_INFINITY), Some(0));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        #[test]
+        fn prop_to_fp_matches_round_on_any_bits(bits in 0u64..=u64::MAX) {
+            assert_to_fp_matches_round(f64::from_bits(bits));
+        }
+
+        #[test]
+        fn prop_to_fp_matches_round_below_the_integer_bound(value in -5e9f64..5e9) {
+            assert_to_fp_matches_round(value);
+            assert_to_fp_matches_round(value / 1e6);
+        }
+
+        #[test]
+        fn prop_bin_index_matches_floor_on_any_bits(bits in 0u64..=u64::MAX, scaled in -20.0f64..120.0) {
+            let h = Histogram::new(0.1, 100);
+            for value in [f64::from_bits(bits), scaled] {
+                prop_assert_eq!(h.bin_of(value), reference_bin_of(&h, value));
+            }
+        }
     }
 
     #[test]
