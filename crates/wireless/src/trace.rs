@@ -120,17 +120,24 @@ impl ThroughputTrace {
 
     /// Parses the [`to_csv`](Self::to_csv) format (header optional). The
     /// interval is inferred from the first two timestamps, defaulting to
-    /// 5 minutes for single-sample traces.
+    /// 5 minutes for single-sample traces; every later step must match the
+    /// first to within [`to_csv`](Self::to_csv)'s two-decimal timestamp
+    /// resolution (0.01 min).
     ///
     /// # Errors
     ///
     /// Returns [`WirelessError::ParseTrace`] for malformed rows — a
-    /// non-finite timestamp, a timestamp no later than the row before, an
-    /// interval too large to hold in milliseconds, or a throughput that is
-    /// not finite and positive — and
+    /// non-finite timestamp, a timestamp no later than the row before, a
+    /// first interval under 1 ms or too large to hold in milliseconds, a
+    /// step that differs from the first by more than 0.01 min, or a
+    /// throughput that is not finite and positive — and
     /// [`WirelessError::InvalidTrace`] when no samples are present.
     pub fn from_csv(text: &str) -> Result<Self, WirelessError> {
+        /// `to_csv` prints minutes to two decimals, so a step read back
+        /// from it may differ from the first step by one hundredth.
+        const TIMESTAMP_RESOLUTION_MIN: f64 = 0.01;
         let mut previous: Option<f64> = None;
+        let mut first_step = 0.0;
         let mut interval_ms = 5.0 * 60_000.0;
         let mut samples = Vec::new();
         for (idx, line) in text.lines().enumerate() {
@@ -160,14 +167,30 @@ impl ThroughputTrace {
                         "timestamps must increase, got {minutes} after {previous}"
                     )));
                 }
+                let step = minutes - previous;
                 if samples.len() == 1 {
-                    interval_ms = (minutes - previous) * 60_000.0;
+                    first_step = step;
+                    interval_ms = step * 60_000.0;
                     if !interval_ms.is_finite() {
                         return Err(bad_row(format!(
                             "interval from {previous} to {minutes} minutes overflows"
                         )));
                     }
-                    interval_ms = interval_ms.max(1.0);
+                    if interval_ms < 1.0 {
+                        return Err(bad_row(format!(
+                            "interval from {previous} to {minutes} minutes is under 1 ms"
+                        )));
+                    }
+                } else {
+                    // The slack absorbs the decimal parse and the two
+                    // subtractions, a few ulps of the timestamps.
+                    let slack = 1e-12 * minutes.abs().max(1.0);
+                    if (step - first_step).abs() > TIMESTAMP_RESOLUTION_MIN + slack {
+                        return Err(bad_row(format!(
+                            "step from {previous} to {minutes} minutes differs from \
+                             the first step of {first_step} minutes"
+                        )));
+                    }
                 }
             }
             if !mbps.is_finite() || mbps <= 0.0 {
@@ -528,6 +551,31 @@ mod tests {
     #[test]
     fn csv_rejects_a_repeated_timestamp() {
         assert_rejected_at_line_3("0");
+    }
+
+    #[test]
+    fn csv_rejects_a_first_interval_under_a_millisecond() {
+        // 0.00001 min is 0.6 ms.
+        assert_rejected_at_line_3("0.00001");
+    }
+
+    #[test]
+    fn csv_rejects_a_step_unlike_the_first() {
+        let result = ThroughputTrace::from_csv("minutes,mbps\n0,5\n5,6\n7,7\n60,8\n");
+        assert!(
+            matches!(result, Err(WirelessError::ParseTrace { line: 4, .. })),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn csv_accepts_steps_within_the_timestamp_resolution() {
+        // One second is 0.0167 min, which `to_csv` prints as steps of
+        // 0.02 and 0.01 min.
+        let trace = ThroughputTrace::new(vec![Mbps::new(4.0); 120], Millis::new(1000.0)).unwrap();
+        let csv = trace.to_csv();
+        assert!(csv.contains("\n0.02,") && csv.contains("\n0.03,"), "{csv}");
+        assert_eq!(ThroughputTrace::from_csv(&csv).unwrap().len(), 120);
     }
 
     #[test]
