@@ -1233,8 +1233,8 @@ pub struct OffloadRequest {
     /// Arrival time at the region's front door (µs since run start).
     pub arrival_us: u64,
     /// Global device id — with `arrival_us` and `stage` this forms the
-    /// unique, shard-count-invariant sort key the barrier merges
-    /// requests by.
+    /// unique, shard-count-invariant sort key the microsim serves the
+    /// shards' request runs by.
     pub device_id: u64,
     /// Pipeline stage (1-based). Shards always emit stage 1; when the
     /// scenario carries a staged [`crate::PipelineSpec`], the region's
@@ -1328,6 +1328,23 @@ impl PartialEq for ChainedArrival {
 }
 
 impl Eq for ChainedArrival {}
+
+/// The `(arrival_us, device_id, stage)` key requests are served by.
+fn key(request: &OffloadRequest) -> (u64, u64, u32) {
+    (request.arrival_us, request.device_id, request.stage)
+}
+
+/// The run in `runs` whose head has the least key, if any has requests
+/// left. Each shard's run is sorted by the key — shard events pop in
+/// `(time, local)` order over a contiguous ascending range of device ids,
+/// and shards only emit stage 1 — and the key is unique fleet-wide, so
+/// taking the least head each time serves the one total order a global
+/// sort would, in O(runs) per arrival with no copy.
+fn least_head(runs: &[&[OffloadRequest]]) -> Option<usize> {
+    (0..runs.len())
+        .filter(|&i| !runs[i].is_empty())
+        .min_by_key(|&i| key(&runs[i][0]))
+}
 
 /// Per-backend discrete state inside [`RegionMicrosim`].
 #[derive(Debug, Clone)]
@@ -1450,15 +1467,14 @@ impl MicroBackend {
 /// request is a discrete event with its own arrival, queueing,
 /// batch-admission, service-start, and completion times.
 ///
-/// One event loop on an integer-microsecond clock serves the merged
-/// stage-1 arrival stream, chained pipeline-stage arrivals, and the
-/// slot-free and linger timers. At equal timestamps every arrival —
-/// stream and chained merged by `(device_id, stage)`, same-key chained
-/// ones in push order — enqueues before that instant's timers dispatch,
-/// so simultaneous arrivals can share a batch and the schedule is a
-/// pure function of the merged, `(arrival_us, device_id, stage)`-sorted
-/// request stream (the shard-count-invariance the determinism contract
-/// needs).
+/// One event loop on an integer-microsecond clock serves the shards'
+/// stage-1 request runs, read in place in `(arrival_us, device_id,
+/// stage)` order, chained pipeline-stage arrivals, and the slot-free and
+/// linger timers. At equal timestamps every arrival — stream and chained
+/// in key order, same-key chained ones in push order — enqueues before
+/// that instant's timers dispatch, so simultaneous arrivals can share a
+/// batch and the schedule is a pure function of the key-sorted stream
+/// (the shard-count-invariance the determinism contract needs).
 ///
 /// Batch assembly per backend: a batch closes when a slot is free **and**
 /// either `max_batch` requests wait or the oldest waiting request has
@@ -1559,47 +1575,46 @@ impl RegionMicrosim {
         self
     }
 
-    /// The hop prices this tier chains stages with, if it is staged.
-    pub(crate) fn pipeline(&self) -> Option<&PipelinePricing> {
-        self.pricing.as_ref()
-    }
-
-    /// Runs one epoch: serves the merged, sorted arrival stream together
-    /// with the chained arrivals and timers that fall inside the epoch,
-    /// pushing every completion (including completions of requests
-    /// admitted in earlier epochs) into `out`. Events at or beyond
+    /// Runs one epoch: serves the shards' request `runs` together with
+    /// the chained arrivals and timers that fall inside the epoch, handing
+    /// every completion (including completions of requests admitted in
+    /// earlier epochs) to `sink` as its batch closes. Events at or beyond
     /// `epoch_end_us` stay queued for the next epoch.
     ///
-    /// `requests` must be sorted by the unique
-    /// `(arrival_us, device_id, stage)` key with every arrival inside the
-    /// epoch (debug-asserted). Event pops, heap pushes, and discrete
-    /// batch closes are counted into `probe`, and every batch close is
-    /// emitted as a [`TraceEvent::BatchClose`] for `region` at its exact
-    /// close instant.
+    /// Each run must be sorted by the `(arrival_us, device_id, stage)`
+    /// key, the key must be unique across all runs, and every arrival
+    /// must fall inside the epoch (debug-asserted within each run). Event
+    /// pops, heap pushes, and discrete batch closes are counted into
+    /// `probe`, and every batch close is emitted as a
+    /// [`TraceEvent::BatchClose`] for `region` at its exact close instant.
     pub fn run_epoch(
         &mut self,
-        requests: &[OffloadRequest],
+        runs: &[&[OffloadRequest]],
         epoch_end_us: u64,
-        out: &mut Vec<CompletedRequest>,
+        sink: &mut dyn FnMut(CompletedRequest),
         region: u64,
         probe: &mut PhaseProbe,
     ) {
-        debug_assert!(requests.windows(2).all(|w| {
-            (w[0].arrival_us, w[0].device_id, w[0].stage)
-                < (w[1].arrival_us, w[1].device_id, w[1].stage)
+        debug_assert!(runs.iter().all(|run| {
+            run.windows(2).all(|w| key(&w[0]) < key(&w[1]))
+                && run.last().is_none_or(|r| r.arrival_us < epoch_end_us)
         }));
-        debug_assert!(requests.iter().all(|r| r.arrival_us < epoch_end_us));
-        self.advance(requests, epoch_end_us, out, region, probe);
+        self.advance(runs, epoch_end_us, sink, region, probe);
     }
 
     /// Drains everything still queued, in flight or in transit between
     /// stages — the cloud keeps serving past the horizon so every
     /// admitted request completes and the tail histograms account for
     /// the whole population. The post-horizon drain still closes
-    /// batches, so it records into `probe` like
-    /// [`run_epoch`](RegionMicrosim::run_epoch).
-    pub fn flush(&mut self, out: &mut Vec<CompletedRequest>, region: u64, probe: &mut PhaseProbe) {
-        self.advance(&[], u64::MAX, out, region, probe);
+    /// batches, so it hands completions to `sink` and records into
+    /// `probe` like [`run_epoch`](RegionMicrosim::run_epoch).
+    pub fn flush(
+        &mut self,
+        sink: &mut dyn FnMut(CompletedRequest),
+        region: u64,
+        probe: &mut PhaseProbe,
+    ) {
+        self.advance(&[], u64::MAX, sink, region, probe);
         // Fold the post-horizon completions into the cumulative
         // histograms — the final barrier never runs after a flush.
         for backend in &mut self.backends {
@@ -1612,32 +1627,30 @@ impl RegionMicrosim {
     }
 
     /// The event loop [`run_epoch`](RegionMicrosim::run_epoch) and
-    /// [`flush`](RegionMicrosim::flush) share: serves the stage-1
-    /// `requests`, the chained arrivals and the timers in time order,
-    /// before `end_us`. Arrivals at an instant enqueue before its timers
-    /// run: a slot freed then is already visible through the slot heap,
-    /// and `dispatch` re-checks the linger deadline, so they board any
-    /// batch closing then. `u64::MAX` means "no arrival" and bounds the
-    /// flush; no event reaches it, as the build caps spans at
-    /// [`MAX_SPAN_US`].
+    /// [`flush`](RegionMicrosim::flush) share: serves the stage-1 `runs`,
+    /// the chained arrivals and the timers in time order, before `end_us`.
+    /// Arrivals at an instant enqueue before its timers run: a slot freed
+    /// then is already visible through the slot heap, and `dispatch`
+    /// re-checks the linger deadline, so they board any batch closing
+    /// then. `u64::MAX` means "no arrival" and bounds the flush; no event
+    /// reaches it, as the build caps spans at [`MAX_SPAN_US`].
     fn advance(
         &mut self,
-        requests: &[OffloadRequest],
+        runs: &[&[OffloadRequest]],
         end_us: u64,
-        out: &mut Vec<CompletedRequest>,
+        sink: &mut dyn FnMut(CompletedRequest),
         region: u64,
         probe: &mut PhaseProbe,
     ) {
+        let mut runs = runs.to_vec();
         let mut touched = vec![false; self.backends.len()];
-        let mut i = 0;
         loop {
             let chained = self
                 .chained
                 .peek()
                 .map_or(u64::MAX, |c| c.0.request.arrival_us);
-            let mut now = requests
-                .get(i)
-                .map_or(u64::MAX, |r| r.arrival_us)
+            let mut now = least_head(&runs)
+                .map_or(u64::MAX, |i| runs[i][0].arrival_us)
                 .min(chained);
             while let Some(&Reverse((time, kind, backend))) = self.heap.peek() {
                 if time >= now.min(end_us) {
@@ -1651,7 +1664,7 @@ impl RegionMicrosim {
                     debug_assert_eq!(self.backends[backend as usize].linger_event_us, time);
                     self.backends[backend as usize].linger_event_us = u64::MAX;
                 }
-                self.dispatch(backend as usize, time, out, region, probe);
+                self.dispatch(backend as usize, time, sink, region, probe);
                 // The batch may have chained an earlier arrival.
                 if let Some(Reverse(c)) = self.chained.peek() {
                     now = now.min(c.request.arrival_us);
@@ -1661,31 +1674,29 @@ impl RegionMicrosim {
                 return;
             }
             touched.fill(false);
+            // Every stream and chained arrival at `now`, in key order.
             loop {
-                // Stream arrivals at `now` run up to the first chained key
-                // at `now`, then that chained arrival joins.
-                let first_chained = self
-                    .chained
-                    .peek()
-                    .map(|Reverse(c)| &c.request)
-                    .filter(|c| c.arrival_us == now)
-                    .map(|c| (c.device_id, c.stage));
-                while let Some(&request) = requests.get(i).filter(|r| {
-                    r.arrival_us == now && first_chained.is_none_or(|k| (r.device_id, r.stage) < k)
-                }) {
-                    i += 1;
-                    self.enqueue(request, now, &mut touched);
-                }
-                if first_chained.is_none() {
-                    break;
-                }
-                probe.on_pop();
-                let Reverse(next) = self.chained.pop().expect("a chained arrival was peeked");
-                self.enqueue(next.request, now, &mut touched);
+                let head = least_head(&runs).filter(|&i| runs[i][0].arrival_us == now);
+                let hop = self.chained.peek().map(|c| key(&c.0.request));
+                let request = match (head, hop.filter(|k| k.0 == now)) {
+                    (None, None) => break,
+                    (Some(i), hop) if hop.is_none_or(|hop| key(&runs[i][0]) < hop) => {
+                        let request = runs[i][0];
+                        runs[i] = &runs[i][1..];
+                        request
+                    }
+                    _ => {
+                        probe.on_pop();
+                        let Reverse(next) =
+                            self.chained.pop().expect("a chained arrival was peeked");
+                        next.request
+                    }
+                };
+                self.enqueue(request, now, &mut touched);
             }
             for (backend, hit) in touched.iter().enumerate() {
                 if *hit {
-                    self.dispatch(backend, now, out, region, probe);
+                    self.dispatch(backend, now, sink, region, probe);
                 }
             }
         }
@@ -1738,15 +1749,15 @@ impl RegionMicrosim {
     /// Closes every batch `backend` can start at `now`: while a slot is
     /// free and the batcher is ready (`max_batch` waiting, or the oldest
     /// request has lingered out), assemble high-priority-first, occupy the
-    /// slot for the affine batch cost, and complete every member —
-    /// chaining each one below the pipeline's last stage into its
+    /// slot for the affine batch cost, and complete every member into
+    /// `sink` — chaining each one below the pipeline's last stage into its
     /// successor's arrival. If the batcher is still filling, schedule the
     /// linger expiry instead.
     fn dispatch(
         &mut self,
         backend: usize,
         now_us: u64,
-        out: &mut Vec<CompletedRequest>,
+        sink: &mut dyn FnMut(CompletedRequest),
         region: u64,
         probe: &mut PhaseProbe,
     ) {
@@ -1800,7 +1811,7 @@ impl RegionMicrosim {
                 // region-level histograms with exact merges instead
                 // ([`barrier_signal`](RegionMicrosim::barrier_signal)).
                 state.epoch_sojourn.record(sojourn_ms);
-                out.push(CompletedRequest {
+                sink(CompletedRequest {
                     request,
                     backend: backend as u32,
                     sojourn_ms,
@@ -2314,8 +2325,15 @@ mod tests {
     fn run_all(sim: &mut RegionMicrosim, requests: &[OffloadRequest]) -> Vec<CompletedRequest> {
         let mut out = Vec::new();
         let end = requests.last().map_or(1, |r| r.arrival_us + 1);
-        sim.run_epoch(requests, end, &mut out, 0, &mut PhaseProbe::disabled());
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        let mut collect = |c| out.push(c);
+        sim.run_epoch(
+            &[requests],
+            end,
+            &mut collect,
+            0,
+            &mut PhaseProbe::disabled(),
+        );
+        sim.flush(&mut collect, 0, &mut PhaseProbe::disabled());
         out
     }
 
@@ -2485,13 +2503,20 @@ mod tests {
         let mut sim = RegionMicrosim::new(&serving);
         let requests: Vec<_> = (0..50).map(|i| request(i, i)).collect();
         let mut out = Vec::new();
-        sim.run_epoch(&requests, 1_000, &mut out, 0, &mut PhaseProbe::disabled());
+        let mut collect = |c| out.push(c);
+        sim.run_epoch(
+            &[&requests],
+            1_000,
+            &mut collect,
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         assert!(sim.depth() > 4.0, "backlog should persist at the barrier");
         let signal = sim.barrier_signal(1_000);
         assert!(signal.shed_fraction > 0.0);
         assert!(signal.wait_low_ms > 0.0);
         assert!(signal.wait_high_ms <= signal.wait_low_ms);
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut collect, 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 50, "flush must complete every request");
         assert_eq!(sim.depth(), 0.0);
         assert!(format!("{sim}").contains("0 requests queued"));
@@ -2515,6 +2540,106 @@ mod tests {
             "least-work dispatch should balance, got {on_a}/{on_b}"
         );
         assert_eq!(on_b, 4);
+    }
+
+    /// The microsim reads the shards' runs in place in key order. However
+    /// one key-sorted stream is split by device-id range, the way shards
+    /// split devices — empty runs included, the runs passed in either
+    /// order — the sink receives the one-run replay's completions in the
+    /// same order with the same bits, and the probe records the same work.
+    /// Same-microsecond arrivals fall in different runs, and the staged
+    /// pricing chains hops onto stream instants, where stream and chained
+    /// arrivals interleave by `(device_id, stage)`.
+    #[test]
+    fn microsim_serves_split_runs_like_one_run() {
+        // Two executors, 10 ms batches of up to four, no linger; at
+        // 8 Mbps the one hop costs 5 ms, so a stage-1 batch closing on a
+        // 15 ms grid instant chains its hops onto the next one.
+        let serving = CloudServing::new(vec![
+            BackendConfig::new("gpu", 2, 10.0, 0.0).with_batching(4, 0.0)
+        ]);
+        let pricing = PipelinePricing::new(
+            &crate::pipeline::PipelineSpec::new(vec![5_000]),
+            &[lens_nn::units::Mbps::new(8.0)],
+        );
+        let mut requests: Vec<OffloadRequest> = (0..4u64)
+            .flat_map(|k| (0..12).map(move |d| (k, d)))
+            .filter(|&(k, d)| (d * 7 + k) % 3 != 0)
+            .map(|(k, d)| request(k * 15_000, d))
+            .chain([request(7_000, 5), request(7_000, 10), request(52_000, 3)])
+            .collect();
+        requests.sort_unstable_by_key(key);
+        let epochs = [(0, 20_000), (20_000, 60_000)];
+
+        let serve = |cuts: &[u64], reverse: bool| {
+            let mut sim = RegionMicrosim::new(&serving).with_pipeline(Some(pricing.clone()));
+            let mut probe = PhaseProbe::enabled();
+            let mut done = Vec::new();
+            let mut collect = |c| done.push(c);
+            for (start, end) in epochs {
+                let mut runs: Vec<Vec<OffloadRequest>> = cuts
+                    .windows(2)
+                    .map(|range| {
+                        requests
+                            .iter()
+                            .filter(|r| (start..end).contains(&r.arrival_us))
+                            .filter(|r| (range[0]..range[1]).contains(&r.device_id))
+                            .copied()
+                            .collect()
+                    })
+                    .collect();
+                if reverse {
+                    runs.reverse();
+                }
+                let runs: Vec<&[OffloadRequest]> = runs.iter().map(Vec::as_slice).collect();
+                sim.run_epoch(&runs, end, &mut collect, 0, &mut probe);
+            }
+            sim.flush(&mut collect, 0, &mut probe);
+            (done, probe.take())
+        };
+        let bits = |done: &[CompletedRequest]| -> Vec<_> {
+            done.iter()
+                .map(|c| {
+                    (
+                        key(&c.request),
+                        c.backend,
+                        c.completion_us,
+                        c.sojourn_ms.to_bits(),
+                        c.request.base_latency_ms.to_bits(),
+                    )
+                })
+                .collect()
+        };
+
+        let (one_run, one_run_probe) = serve(&[0, 12], false);
+        assert_eq!(one_run.len(), 2 * requests.len(), "every stage completes");
+        let instants: Vec<u64> = requests.iter().map(|r| r.arrival_us).collect();
+        assert!(
+            one_run
+                .iter()
+                .any(|c| c.request.stage == 2 && instants.contains(&c.request.arrival_us)),
+            "some chained arrival lands on a stream instant"
+        );
+        assert!(one_run_probe.1.batches_closed > 0);
+        for cuts in [
+            &[0, 6, 12][..],
+            &[0, 4, 4, 12],
+            &[0, 2, 5, 9, 12],
+            &[0, 0, 7, 12, 12],
+        ] {
+            for reverse in [false, true] {
+                let (done, probe) = serve(cuts, reverse);
+                assert_eq!(
+                    bits(&done),
+                    bits(&one_run),
+                    "runs split at {cuts:?}, reversed: {reverse}"
+                );
+                assert_eq!(
+                    probe, one_run_probe,
+                    "runs split at {cuts:?}, reversed: {reverse}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2713,8 +2838,9 @@ mod tests {
         let serving = CloudServing::new(vec![BackendConfig::new("gpu", 1, 10.0, 0.0)]);
         let mut sim = RegionMicrosim::new(&serving);
         let mut out = Vec::new();
+        let mut collect = |c| out.push(c);
         // Never-measured: an idle first epoch publishes no tail at all.
-        sim.run_epoch(&[], 1_000_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(&[], 1_000_000, &mut collect, 0, &mut PhaseProbe::disabled());
         let signal = sim.barrier_signal(1_000_000);
         assert_eq!(
             signal.p99_ms, None,
@@ -2724,9 +2850,9 @@ mod tests {
             .map(|i| request(1_000_000 + i * 100_000, i))
             .collect();
         sim.run_epoch(
-            &requests,
+            &[&requests],
             2_000_000,
-            &mut out,
+            &mut collect,
             0,
             &mut PhaseProbe::disabled(),
         );
@@ -2740,7 +2866,7 @@ mod tests {
         );
         // Idle epoch: nothing completed since the last barrier, but the
         // last *measured* tail is held so retreat stays armed.
-        sim.run_epoch(&[], 3_000_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(&[], 3_000_000, &mut collect, 0, &mut PhaseProbe::disabled());
         let signal = sim.barrier_signal(3_000_000);
         assert_eq!(
             signal.p99_ms,
@@ -2769,11 +2895,18 @@ mod tests {
         ]);
         let mut sim = RegionMicrosim::new(&serving);
         let mut out = Vec::new();
+        let mut collect = |c| out.push(c);
         for epoch in 0..3u64 {
             let start = epoch * 1_000_000;
             let end = start + 1_000_000;
             let requests: Vec<_> = (0..8).map(|i| request(start + i * 1_000, i)).collect();
-            sim.run_epoch(&requests, end, &mut out, 0, &mut PhaseProbe::disabled());
+            sim.run_epoch(
+                &[&requests],
+                end,
+                &mut collect,
+                0,
+                &mut PhaseProbe::disabled(),
+            );
             sim.scale(end, 1_000_000, 0, &mut PhaseProbe::disabled());
             sim.barrier_signal(end);
         }
@@ -2786,7 +2919,7 @@ mod tests {
         // Idle epochs observe 0 (no tail to miss) and scale back down.
         for epoch in 3..6u64 {
             let end = (epoch + 1) * 1_000_000;
-            sim.run_epoch(&[], end, &mut out, 0, &mut PhaseProbe::disabled());
+            sim.run_epoch(&[], end, &mut collect, 0, &mut PhaseProbe::disabled());
             sim.scale(end, 1_000_000, 0, &mut PhaseProbe::disabled());
             sim.barrier_signal(end);
         }
@@ -2905,7 +3038,14 @@ mod tests {
         let mut sim = RegionMicrosim::new(&serving);
         let requests: Vec<_> = (0..10).map(|i| request(i, i)).collect();
         let mut out = Vec::new();
-        sim.run_epoch(&requests, 1_000, &mut out, 0, &mut PhaseProbe::disabled());
+        let mut collect = |c| out.push(c);
+        sim.run_epoch(
+            &[&requests],
+            1_000,
+            &mut collect,
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         let wait_pre_scale = sim.wait_ms(false, 1_000);
         sim.scale(1_000, 1_000, 0, &mut PhaseProbe::disabled());
         let signal = sim.barrier_signal(1_000);
@@ -2920,9 +3060,9 @@ mod tests {
         assert_eq!(stats.scaling_events, 1);
         // The added slot serves queued work from the next epoch on, and
         // every admitted request still completes.
-        sim.run_epoch(&[], 200_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(&[], 200_000, &mut collect, 0, &mut PhaseProbe::disabled());
         sim.scale(200_000, 199_000, 0, &mut PhaseProbe::disabled());
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut collect, 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 10, "flush must complete every request");
         assert_eq!(
             sim.backend_reports("r", 1_000.0)[0].slot_timeline,
@@ -2940,11 +3080,12 @@ mod tests {
         ]);
         let mut sim = RegionMicrosim::new(&serving);
         let mut out = Vec::new();
+        let mut collect = |c| out.push(c);
         // Two requests occupy both 10 s executors well past the barrier.
         sim.run_epoch(
-            &[request(0, 0), request(0, 1)],
+            &[&[request(0, 0), request(0, 1)]],
             1_000,
-            &mut out,
+            &mut collect,
             0,
             &mut PhaseProbe::disabled(),
         );
@@ -2956,12 +3097,24 @@ mod tests {
         );
         assert_eq!(stats.slot_timeline, vec![2]);
         // Once a batch finishes, the deferred scale-down applies.
-        sim.run_epoch(&[], 20_000_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            &[],
+            20_000_000,
+            &mut collect,
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         sim.scale(20_000_000, 19_999_000, 0, &mut PhaseProbe::disabled());
         let stats = &sim.backend_reports("r", 1_000.0)[0];
         assert_eq!(stats.scaling_events, 1);
         assert_eq!(*stats.slot_timeline.last().unwrap(), 2);
-        sim.run_epoch(&[], 20_001_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            &[],
+            20_001_000,
+            &mut collect,
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         sim.scale(20_001_000, 1_000, 0, &mut PhaseProbe::disabled());
         assert_eq!(
             *sim.backend_reports("r", 1_000.0)[0]
@@ -2970,7 +3123,7 @@ mod tests {
                 .unwrap(),
             1
         );
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut collect, 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 2);
     }
 

@@ -127,10 +127,10 @@ pub(crate) struct ShardEpochOutput {
     /// Per-destination-region offloaded requests the per-request tier
     /// deferred to its barrier replay, in shard-local event order — each
     /// run is therefore already sorted by the unique
-    /// `(arrival_us, device_id, stage)` key, which is what lets the barrier
-    /// k-way merge runs instead of re-sorting
-    /// ([`crate::replay::merge_requests`]). The fluid tier books every
-    /// offload at once and leaves them empty.
+    /// `(arrival_us, device_id, stage)` key, which is what lets the
+    /// region's microsim read the runs in place in key order instead of
+    /// re-sorting them ([`crate::RegionMicrosim::run_epoch`]). The fluid
+    /// tier books every offload at once and leaves them empty.
     pub(crate) requests: Vec<Vec<OffloadRequest>>,
     /// Device-side trace events in shard-local event order (empty when
     /// untraced); the barrier merges them by `(time_us, device_id)`.

@@ -103,12 +103,11 @@
 //! pins 1 vs. 2 vs. 4 shards on a batched multi-backend scenario); the
 //! contract names a fixed shard count as the conservative guarantee.
 //!
-//! The per-request microsimulation keeps the contract: at each barrier the
-//! engine k-way merges every region's offloaded requests from the shards'
-//! already-sorted runs into the `(arrival_us, device_id, stage)` total
-//! order — a unique, shard-count-invariant key — before replaying them
-//! through the region's event heap, so the cloud schedule is a pure
-//! function of the scenario and seed. The barrier itself fans out one
+//! The per-request microsimulation keeps the contract: at each barrier
+//! every region's microsim reads the shards' already-sorted request runs
+//! in place and serves them in the `(arrival_us, device_id, stage)` total
+//! order — a unique, shard-count-invariant key — through its event heap,
+//! so the cloud schedule is a pure function of the scenario and seed. The barrier itself fans out one
 //! replay worker per region ([`ReplayMode`], `src/replay.rs`): workers
 //! read only immutable shard outputs and mutate only region-local state,
 //! and their outputs merge in fixed region order, so parallel and
@@ -127,7 +126,7 @@
 //! `t + transfer` as an event of the region's microsim, served at that
 //! true time — in the same epoch, a later one, or the post-horizon
 //! flush — while the device is charged each stage's sojourn plus the
-//! transfer. The chained requests extend (not replace) the merge key
+//! transfer. The chained requests extend (not replace) the arrival key
 //! above with the stage number. A depth-1 spec is structurally the
 //! monolithic path, so pipelining costs nothing when unused.
 //!

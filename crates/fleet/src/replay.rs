@@ -15,24 +15,27 @@
 //! only: [`FluidRegionReplay`] charges the published wait and the staged
 //! transfers at once and counts the stages into the epoch's arrivals,
 //! while [`PerRequestRegionReplay`] defers the request. At the barrier
-//! the fluid tier admits the merged counts and drains them as epoch
+//! the fluid tier admits the summed counts and drains them as epoch
 //! aggregates, while the per-request tier replays every deferred request
-//! through its region's microsim, books the pipeline stages the microsim
-//! chains, and drains its backlog past the horizon. Each tier builds its
-//! own `BackendReport`s.
+//! through its region's microsim, books each completion — the pipeline
+//! stages the microsim chains included — as its batch closes, and drains
+//! its backlog past the horizon. Each tier builds its own
+//! `BackendReport`s.
 //!
 //! Determinism holds by construction, not by luck:
 //!
 //! * Each worker reads only shared **immutable** shard outputs (offload
 //!   counts / request runs) and mutates only region-local state, so the
 //!   interleaving of workers cannot influence any result.
-//! * Each region's requests are assembled by a k-way merge of per-shard
-//!   runs that are already sorted by the shard-count-invariant
-//!   `(arrival_us, device_id, stage)` key ([`merge_requests`]),
-//!   reproducing the exact total order a global sort would produce.
-//!   Staged pipelines keep the discipline: the microsim chains each
-//!   stage from a completion of that shard-invariant replay and serves
-//!   it in the same key order, same-key ties in push order.
+//! * Each region's microsim reads the shards' request runs in place.
+//!   Every run is already sorted by the shard-count-invariant
+//!   `(arrival_us, device_id, stage)` key, and the microsim's event loop
+//!   always takes the least head among them
+//!   ([`RegionMicrosim::run_epoch`]), serving the exact total order a
+//!   global sort would produce. Staged pipelines keep the discipline:
+//!   the microsim chains each stage from a completion of that
+//!   shard-invariant replay and serves it in the same key order,
+//!   same-key ties in push order.
 //! * Telemetry is buffered per region inside [`RegionBarrierOutput`] and
 //!   flushed by the engine in fixed region order, phase-major, so the
 //!   event stream and phase counters are bit-identical to a sequential
@@ -284,18 +287,18 @@ impl RegionTier for FluidRegionReplay {
     }
 }
 
-/// The per-request tier's replay worker: the region's microsim plus the
-/// region-local accumulators the barrier feeds — the deferred-completion
-/// report partial (fixed-point sums, so merging the partials at the end
-/// is exact and order-independent) and pooled merge/completion buffers
-/// reused across epochs. The sojourn histograms live only inside the
-/// microsim's backends; the region's view is their merge.
+/// The per-request tier's replay worker: the region's microsim, the hop
+/// prices its completions are booked with, and the region-local
+/// accumulators the barrier feeds — the deferred-completion report
+/// partial (fixed-point sums, so merging the partials at the end is
+/// exact and order-independent) and the queue-depth series. The sojourn
+/// histograms live only inside the microsim's backends; the region's
+/// view is their merge.
 pub(crate) struct PerRequestRegionReplay {
     sim: RegionMicrosim,
+    pricing: Option<PipelinePricing>,
     report: FleetReport,
     depth_series: Vec<f64>,
-    merged: Vec<OffloadRequest>,
-    completions: Vec<CompletedRequest>,
 }
 
 impl PerRequestRegionReplay {
@@ -306,44 +309,35 @@ impl PerRequestRegionReplay {
         pricing: Option<PipelinePricing>,
     ) -> Self {
         PerRequestRegionReplay {
-            sim: RegionMicrosim::new(serving).with_pipeline(pricing),
+            sim: RegionMicrosim::new(serving).with_pipeline(pricing.clone()),
+            pricing,
             report: empty_report.clone(),
             depth_series: Vec::with_capacity(num_epochs),
-            merged: Vec::new(),
-            completions: Vec::new(),
         }
     }
 
-    /// Books the batch in `self.completions`. Under a staged pipeline
-    /// each completion feeds the per-stage ledger, and one below the last
-    /// stage books the hop the microsim already chained — its transfer
-    /// and a [`TraceEvent::StageTransition`], priced on the **origin**
-    /// region's uplink. Every terminal completion finishes its deferred
-    /// device record.
-    fn absorb_completions(&mut self, region: usize, probe: &mut PhaseProbe) {
-        let pricing = self.sim.pipeline();
-        for c in &self.completions {
-            let stage = c.request.stage;
-            if let Some(pricing) = pricing {
-                self.report
-                    .record_stage_completion(stage, Some(c.sojourn_ms));
-                if stage < pricing.depth {
-                    let transfer_us =
-                        pricing.hop_us(c.request.origin_region as usize, stage as usize - 1);
-                    self.report.record_transfer_ms(transfer_us as f64 / 1000.0);
-                    probe.emit(TraceEvent::StageTransition {
-                        time_us: c.completion_us,
-                        device_id: c.request.device_id,
-                        region: region as u64,
-                        from_stage: u64::from(stage),
-                        to_stage: u64::from(stage + 1),
-                        transfer_us,
-                    });
-                    continue;
-                }
+    /// Runs `serve` — one epoch or the post-horizon flush — on the
+    /// microsim, booking each completion it hands the sink as its batch
+    /// closes. A traced run holds the stage transitions back until the
+    /// event loop returns, so each follows every batch close of its
+    /// phase.
+    fn serve(
+        &mut self,
+        region: usize,
+        probe: &mut PhaseProbe,
+        serve: impl FnOnce(&mut RegionMicrosim, &mut dyn FnMut(CompletedRequest), &mut PhaseProbe),
+    ) {
+        let traced = probe.is_enabled();
+        let mut transitions = Vec::new();
+        let mut book = |c| {
+            let booked = book_completion(&mut self.report, self.pricing.as_ref(), region, c);
+            if let Some(event) = booked.filter(|_| traced) {
+                transitions.push(event);
             }
-            let latency_ms = c.request.base_latency_ms + c.sojourn_ms;
-            record_offload(&mut self.report, region, &c.request, latency_ms);
+        };
+        serve(&mut self.sim, &mut book, probe);
+        for event in transitions {
+            probe.emit(event);
         }
     }
 }
@@ -371,10 +365,11 @@ impl RegionTier for PerRequestRegionReplay {
         });
     }
 
-    /// K-way merges the shards' request runs, replays them through the
-    /// microsim — which chains staged pipelines' next stages as its own
-    /// arrivals — records the completions, scales, and publishes the
-    /// (hysteresis-held) tail signal.
+    /// Replays the shards' request runs through the microsim — which
+    /// reads them in place in key order and chains staged pipelines' next
+    /// stages as its own arrivals — booking each completion as its batch
+    /// closes, then scales and publishes the (hysteresis-held) tail
+    /// signal.
     fn barrier(
         &mut self,
         region: usize,
@@ -383,18 +378,15 @@ impl RegionTier for PerRequestRegionReplay {
         epoch_end: u64,
         traced: bool,
     ) -> RegionBarrierOutput {
-        merge_requests(shards, region, &mut self.merged);
+        let runs: Vec<&[OffloadRequest]> = shards
+            .iter()
+            .map(|shard| shard.requests[region].as_slice())
+            .collect();
         let mut probe = PhaseProbe::new(traced);
-        probe.on_merged(self.merged.len() as u64);
-        self.completions.clear();
-        self.sim.run_epoch(
-            &self.merged,
-            epoch_end,
-            &mut self.completions,
-            region as u64,
-            &mut probe,
-        );
-        self.absorb_completions(region, &mut probe);
+        probe.on_merged(runs.iter().map(|run| run.len() as u64).sum());
+        self.serve(region, &mut probe, |sim, book, probe| {
+            sim.run_epoch(&runs, epoch_end, book, region as u64, probe);
+        });
         self.depth_series.push(self.sim.depth());
         let drain = probe.take();
         self.sim.scale(
@@ -416,9 +408,9 @@ impl RegionTier for PerRequestRegionReplay {
     /// sequentially on the engine thread (it is one final sweep, not
     /// per-epoch work).
     fn flush(&mut self, region: usize, probe: &mut PhaseProbe) {
-        self.completions.clear();
-        self.sim.flush(&mut self.completions, region as u64, probe);
-        self.absorb_completions(region, probe);
+        self.serve(region, probe, |sim, book, probe| {
+            sim.flush(book, region as u64, probe);
+        });
     }
 
     fn depth(&self) -> f64 {
@@ -443,49 +435,37 @@ impl RegionTier for PerRequestRegionReplay {
     }
 }
 
-/// Assembles one region's epoch requests by k-way merging the per-shard
-/// runs. Each run is already sorted by `(arrival_us, device_id, stage)`
-/// — shard events pop in `(time, local)` order, a shard's device ids
-/// are a contiguous ascending range, and shards only ever emit stage 1
-/// — and the key is unique fleet-wide, so the merge yields the one
-/// total order on that key, in O(total · shards) with no comparison
-/// sort and no allocation after warm-up.
-pub(crate) fn merge_requests(
-    shards: &[&ShardEpochOutput],
+/// Books one completion of a per-request tier into `report`. Under a
+/// staged pipeline each completion feeds the per-stage ledger, and one
+/// below the last stage books the hop the microsim chained — its
+/// transfer, priced on the **origin** region's uplink — and hands back
+/// its [`TraceEvent::StageTransition`]. Every terminal completion
+/// finishes its deferred device record.
+fn book_completion(
+    report: &mut FleetReport,
+    pricing: Option<&PipelinePricing>,
     region: usize,
-    out: &mut Vec<OffloadRequest>,
-) {
-    out.clear();
-    let mut runs: Vec<&[OffloadRequest]> = shards
-        .iter()
-        .map(|shard| shard.requests[region].as_slice())
-        .filter(|run| !run.is_empty())
-        .collect();
-    debug_assert!(runs.iter().all(|run| run.windows(2).all(|w| {
-        (w[0].arrival_us, w[0].device_id, w[0].stage)
-            < (w[1].arrival_us, w[1].device_id, w[1].stage)
-    })));
-    if runs.len() == 1 {
-        out.extend_from_slice(runs[0]);
-        return;
-    }
-    out.reserve(runs.iter().map(|run| run.len()).sum());
-    while let Some(first) = runs.first() {
-        let mut best = 0;
-        let mut best_key = (first[0].arrival_us, first[0].device_id, first[0].stage);
-        for (i, run) in runs.iter().enumerate().skip(1) {
-            let key = (run[0].arrival_us, run[0].device_id, run[0].stage);
-            if key < best_key {
-                best = i;
-                best_key = key;
-            }
-        }
-        out.push(runs[best][0]);
-        runs[best] = &runs[best][1..];
-        if runs[best].is_empty() {
-            runs.swap_remove(best);
+    c: CompletedRequest,
+) -> Option<TraceEvent> {
+    let stage = c.request.stage;
+    if let Some(pricing) = pricing {
+        report.record_stage_completion(stage, Some(c.sojourn_ms));
+        if stage < pricing.depth {
+            let transfer_us = pricing.hop_us(c.request.origin_region as usize, stage as usize - 1);
+            report.record_transfer_ms(transfer_us as f64 / 1000.0);
+            return Some(TraceEvent::StageTransition {
+                time_us: c.completion_us,
+                device_id: c.request.device_id,
+                region: region as u64,
+                from_stage: u64::from(stage),
+                to_stage: u64::from(stage + 1),
+                transfer_us,
+            });
         }
     }
+    let latency_ms = c.request.base_latency_ms + c.sojourn_ms;
+    record_offload(report, region, &c.request, latency_ms);
+    None
 }
 
 /// Records one finished offload under its origin region: `latency_ms`
@@ -538,27 +518,23 @@ mod tests {
         }
     }
 
-    /// Runs one barrier over epoch `epoch` with `requests` as its only
-    /// shard's run, and hands back the barrier's completions.
+    /// Serves epoch `epoch` with `requests` as its only shard's run,
+    /// booking each completion through the worker as its barrier does, and
+    /// hands back the completions in the order its sink received them.
     fn barrier(
         worker: &mut PerRequestRegionReplay,
         epoch: u64,
         requests: Vec<OffloadRequest>,
     ) -> Vec<CompletedRequest> {
-        let shard = ShardEpochOutput {
-            arrivals: vec![(0, 0)],
-            requests: vec![requests],
-            events: Vec::new(),
-            counters: Default::default(),
-        };
-        worker.barrier(
-            0,
-            &[&shard],
-            epoch * EPOCH_US,
-            (epoch + 1) * EPOCH_US,
-            false,
-        );
-        worker.completions.clone()
+        let mut done = Vec::new();
+        worker.serve(0, &mut PhaseProbe::disabled(), |sim, book, probe| {
+            let mut collect = |c| {
+                done.push(c);
+                book(c);
+            };
+            sim.run_epoch(&[&requests], (epoch + 1) * EPOCH_US, &mut collect, 0, probe);
+        });
+        done
     }
 
     /// Books `request`, bound for `dest`, on tier `T` against `signals`,

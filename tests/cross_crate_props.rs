@@ -194,8 +194,9 @@ proptest! {
             .collect();
         requests.sort_unstable_by_key(|r| (r.arrival_us, r.device_id));
         let mut out = Vec::new();
-        sim.run_epoch(&requests, 1_000_000, &mut out, 0, &mut PhaseProbe::disabled());
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        let mut collect = |c| out.push(c);
+        sim.run_epoch(&[&requests], 1_000_000, &mut collect, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut collect, 0, &mut PhaseProbe::disabled());
         prop_assert_eq!(out.len(), n, "every request must complete");
         let mut completions: Vec<(u64, u64, f64)> = out
             .iter()
