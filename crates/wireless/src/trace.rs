@@ -108,21 +108,25 @@ impl ThroughputTrace {
             .generate(seed)
     }
 
-    /// Serializes to a two-column CSV (`minutes,mbps`) with a header.
+    /// Serializes to a two-column CSV (`minutes,mbps`) with a header. Each
+    /// timestamp prints in full (the shortest decimal that parses back to
+    /// the same `f64`), so [`from_csv`](Self::from_csv) recovers the
+    /// interval of any trace.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("minutes,mbps\n");
         for (i, s) in self.samples.iter().enumerate() {
             let minutes = self.interval.get() * i as f64 / 60_000.0;
-            out.push_str(&format!("{:.2},{:.4}\n", minutes, s.get()));
+            out.push_str(&format!("{minutes},{:.4}\n", s.get()));
         }
         out
     }
 
     /// Parses the [`to_csv`](Self::to_csv) format (header optional). The
-    /// interval is inferred from the first two timestamps, defaulting to
-    /// 5 minutes for single-sample traces; every later step must match the
-    /// first to within [`to_csv`](Self::to_csv)'s two-decimal timestamp
-    /// resolution (0.01 min).
+    /// interval is inferred from the first two timestamps and rounded to
+    /// whole microseconds, the fleet clock's unit, defaulting to 5 minutes
+    /// for single-sample traces; every later step must match the first to
+    /// within 0.01 min, so CSVs with timestamps printed to two decimals
+    /// parse too.
     ///
     /// # Errors
     ///
@@ -133,8 +137,8 @@ impl ThroughputTrace {
     /// throughput that is not finite and positive — and
     /// [`WirelessError::InvalidTrace`] when no samples are present.
     pub fn from_csv(text: &str) -> Result<Self, WirelessError> {
-        /// `to_csv` prints minutes to two decimals, so a step read back
-        /// from it may differ from the first step by one hundredth.
+        /// A step read back from a timestamp printed to two decimals may
+        /// differ from the first step by one hundredth.
         const TIMESTAMP_RESOLUTION_MIN: f64 = 0.01;
         let mut previous: Option<f64> = None;
         let mut first_step = 0.0;
@@ -170,7 +174,9 @@ impl ThroughputTrace {
                 let step = minutes - previous;
                 if samples.len() == 1 {
                     first_step = step;
-                    interval_ms = step * 60_000.0;
+                    // Minutes carry a whole-ms interval only to within an
+                    // ulp or so (59 ms reads back as 58.99999999999999).
+                    interval_ms = (step * 60_000_000.0).round() / 1000.0;
                     if !interval_ms.is_finite() {
                         return Err(bad_row(format!(
                             "interval from {previous} to {minutes} minutes overflows"
@@ -570,12 +576,26 @@ mod tests {
 
     #[test]
     fn csv_accepts_steps_within_the_timestamp_resolution() {
-        // One second is 0.0167 min, which `to_csv` prints as steps of
+        // One second is 0.0167 min, which two decimals print as steps of
         // 0.02 and 0.01 min.
-        let trace = ThroughputTrace::new(vec![Mbps::new(4.0); 120], Millis::new(1000.0)).unwrap();
-        let csv = trace.to_csv();
+        let csv: String = (0..120)
+            .map(|i| format!("{:.2},4.0\n", f64::from(i) / 60.0))
+            .collect();
+        let csv = format!("minutes,mbps\n{csv}");
         assert!(csv.contains("\n0.02,") && csv.contains("\n0.03,"), "{csv}");
         assert_eq!(ThroughputTrace::from_csv(&csv).unwrap().len(), 120);
+    }
+
+    #[test]
+    fn csv_round_trips_sub_minute_intervals_bit_for_bit() {
+        for ms in [
+            1.0, 7.0, 59.0, 1_000.0, 1_500.0, 10_000.0, 45_000.0, 300_000.0,
+        ] {
+            let trace = ThroughputTrace::new(vec![Mbps::new(4.0); 5], Millis::new(ms)).unwrap();
+            let parsed = ThroughputTrace::from_csv(&trace.to_csv()).unwrap();
+            assert_eq!(parsed.interval().get().to_bits(), ms.to_bits(), "{ms} ms");
+            assert_eq!(parsed.len(), 5);
+        }
     }
 
     #[test]
