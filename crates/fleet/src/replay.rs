@@ -316,8 +316,8 @@ impl PerRequestRegionReplay {
         }
     }
 
-    /// Runs `serve` — one epoch or the post-horizon flush — on the
-    /// microsim, booking each completion it hands the sink as its batch
+    /// Calls `run` — one epoch or the post-horizon flush — on the
+    /// microsim with a sink that books each completion as its batch
     /// closes. A traced run holds the stage transitions back until the
     /// event loop returns, so each follows every batch close of its
     /// phase.
@@ -325,7 +325,7 @@ impl PerRequestRegionReplay {
         &mut self,
         region: usize,
         probe: &mut PhaseProbe,
-        serve: impl FnOnce(&mut RegionMicrosim, &mut dyn FnMut(CompletedRequest), &mut PhaseProbe),
+        run: impl FnOnce(&mut RegionMicrosim, &mut dyn FnMut(CompletedRequest), &mut PhaseProbe),
     ) {
         let traced = probe.is_enabled();
         let mut transitions = Vec::new();
@@ -335,7 +335,7 @@ impl PerRequestRegionReplay {
                 transitions.push(event);
             }
         };
-        serve(&mut self.sim, &mut book, probe);
+        run(&mut self.sim, &mut book, probe);
         for event in transitions {
             probe.emit(event);
         }
