@@ -12,7 +12,6 @@
 //! binary also reports thresholds placed at the 40th/60th percentile of the
 //! pooled energy distribution — the shape comparison the figure is making.
 
-use lens::prelude::*;
 use lens_bench::{print_table, run_paired_searches, save_csv, ExpArgs};
 
 /// Post-hoc view of the Traditional search: every explored architecture
@@ -40,19 +39,10 @@ fn main() {
     // Re-evaluate EVERY Traditional exploration with partitioning enabled
     // ("partitioning all the explored solutions after the optimization").
     eprintln!("[fig7] re-evaluating the Traditional exploration history with partitioning...");
-    let lens_handle = Lens::builder()
-        .technology(WirelessTechnology::Wifi)
-        .expected_throughput(Mbps::new(3.0))
-        .device(DeviceProfile::jetson_tx2_gpu())
-        .use_predictor(!args.use_truth)
-        .iterations(args.iters)
-        .initial_samples(args.init)
-        .seed(args.seed)
-        .build()
-        .expect("lens builds");
     let mut trad_partitioned: Vec<(f64, f64)> = Vec::new();
     for c in paired.traditional_outcome.explored() {
-        let e = lens_handle
+        let e = paired
+            .lens
             .evaluator()
             .evaluate(&c.encoding)
             .expect("re-evaluation succeeds");

@@ -132,8 +132,10 @@ pub fn save_csv(path: &Path, header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// The paired searches behind Figs 6 and 7.
-#[derive(Debug)]
 pub struct PairedSearches {
+    /// The instance both searches ran on; its evaluator re-scores
+    /// candidates with partitioning.
+    pub lens: Lens,
     /// LENS: partitioning within the optimization.
     pub lens_outcome: SearchOutcome,
     /// Traditional: All-Edge platform-aware NAS.
@@ -168,6 +170,7 @@ pub fn run_paired_searches(args: &ExpArgs) -> Result<PairedSearches, LensError> 
     eprintln!("[search] partitioning the Traditional frontier post-hoc...");
     let partitioned_traditional = lens.partition_frontier(&traditional_outcome)?;
     Ok(PairedSearches {
+        lens,
         lens_outcome,
         traditional_outcome,
         partitioned_traditional,

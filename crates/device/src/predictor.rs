@@ -142,8 +142,7 @@ impl PerformancePredictor {
             let xs: Vec<&[f64]> = samples.iter().map(|m| m.features.as_slice()).collect();
             let lat: Vec<f64> = samples.iter().map(|m| m.latency_ms).collect();
             let pow: Vec<f64> = samples.iter().map(|m| m.power_mw).collect();
-            let latency = RidgeRegression::fit(&xs, &lat, 1e-4)?;
-            let power = RidgeRegression::fit(&xs, &pow, 1e-4)?;
+            let [latency, power] = RidgeRegression::fit_all(&xs, [&lat, &pow], 1e-4)?;
 
             // Validate against the noise-free truth.
             let lat_pred: Vec<f64> = xs.iter().map(|x| latency.predict(x)).collect();

@@ -68,14 +68,17 @@ use std::fmt;
 /// needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CloudSimFidelity {
-    /// Epoch-barrier fluid queues (the PR 3 model, and the default):
-    /// arrivals are admitted as counts and drained at batch-amortized
-    /// rates.
+    /// Epoch-barrier fluid queues (the default): arrivals are admitted
+    /// as counts and drained at batch-amortized rates. Monolithic
+    /// offloads only: a staged [`crate::PipelineSpec`] (depth ≥ 2) fails
+    /// the scenario build under this fidelity.
     #[default]
     Fluid,
     /// Discrete per-request microsimulation: every offloaded request gets
     /// its own arrival/batch/service/completion times, and the report
     /// carries exact per-request sojourn histograms with tail summaries.
+    /// The one fidelity that runs staged pipelines, each remote stage a
+    /// request of its own.
     PerRequest,
 }
 

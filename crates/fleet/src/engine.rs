@@ -36,15 +36,14 @@
 //! fidelity is matched once, where the workers are built. In the shard
 //! step a device decides where each inference runs and prices only its
 //! own share, and the tier books every offload: the fluid tier charges
-//! the published wait (once per pipeline stage) and the staged transfers
-//! at once and counts the stages into the epoch's arrivals, while the
-//! per-request tier defers an [`OffloadRequest`] to the barrier. At each
-//! barrier every region's worker serves the epoch's offloads: the fluid
-//! tier admits the merged counts, dispatches them across the region's
-//! backends by (cost-weighted) water-filling and drains them as
-//! batch-amortized epoch aggregates; the per-request tier replays every
-//! deferred request through the region's microsim. The barrier
-//! phases are strictly ordered — **drain → scale → publish** — in both
+//! the published wait at once and counts the offload into the epoch's
+//! arrivals, while the per-request tier defers an [`OffloadRequest`] to
+//! the barrier. At each barrier every region's worker serves the
+//! epoch's offloads: the fluid tier admits the merged counts,
+//! dispatches them across the region's backends by (cost-weighted)
+//! water-filling and drains them as batch-amortized epoch aggregates;
+//! the per-request tier replays every deferred request through the
+//! region's microsim. The barrier phases are strictly ordered — **drain → scale → publish** — in both
 //! fidelity modes: autoscalers adjust live slot counts *before* the next
 //! epoch's [`RegionSignal`]s (per-class waits, the admission
 //! controller's shed fraction, and the marginal serving cost) are
@@ -58,7 +57,6 @@ use crate::cloud::{
     CloudSimFidelity, FailoverPolicy, OffloadRequest, QueueDiscipline, RegionSignal,
 };
 use crate::device::{Device, ServeContext};
-use crate::pipeline::PipelinePricing;
 use crate::replay::{
     replay_in_parallel, run_barrier, CloudCharge, FluidRegionReplay, PerRequestRegionReplay,
     RegionBarrierOutput, RegionTier,
@@ -121,8 +119,8 @@ struct ShardState {
 
 /// What one shard contributes to an epoch barrier.
 pub(crate) struct ShardEpochOutput {
-    /// Per-region (high, low) stage arrivals the fluid tier booked — its
-    /// feed at the barrier.
+    /// Per-region (high, low) offload arrivals the fluid tier booked —
+    /// its feed at the barrier.
     pub(crate) arrivals: Vec<(u64, u64)>,
     /// Per-destination-region offloaded requests the per-request tier
     /// deferred to its barrier replay, in shard-local event order — each
@@ -438,14 +436,13 @@ impl FleetEngine {
     ) -> Result<(FleetReport, MetricsRegistry, EngineProfile), FleetError> {
         let scenario = &self.scenario;
         let (_, _, num_epochs) = self.clock();
-        let pricing = scenario.pipeline_pricing();
         let regions = 0..scenario.regions.len();
         match scenario.fidelity {
             CloudSimFidelity::Fluid => {
                 let workers = regions
                     .map(|_| FluidRegionReplay::new(&scenario.serving, num_epochs))
                     .collect();
-                self.run_tier(sink, workers, pricing.as_ref())
+                self.run_tier(sink, workers)
             }
             CloudSimFidelity::PerRequest => {
                 // Offloaded records are deferred to completion; each
@@ -466,11 +463,11 @@ impl FleetEngine {
                             &scenario.serving,
                             &empty_report,
                             num_epochs,
-                            pricing.clone(),
+                            scenario.pipeline_pricing(),
                         )
                     })
                     .collect();
-                self.run_tier(sink, workers, pricing.as_ref())
+                self.run_tier(sink, workers)
             }
         }
     }
@@ -485,7 +482,6 @@ impl FleetEngine {
         &self,
         sink: &mut S,
         mut workers: Vec<T>,
-        pricing: Option<&PipelinePricing>,
     ) -> Result<(FleetReport, MetricsRegistry, EngineProfile), FleetError> {
         let scenario = &self.scenario;
         let num_regions = scenario.regions.len();
@@ -522,7 +518,7 @@ impl FleetEngine {
                 region.push(s.wait_low_ms);
             }
 
-            self.advance_epoch::<T>(&mut shard_states, &signals, pricing, epoch_end, S::ENABLED);
+            self.advance_epoch::<T>(&mut shard_states, &signals, epoch_end, S::ENABLED);
             merge_shard_trace::<S>(
                 sink,
                 &mut profile,
@@ -689,7 +685,6 @@ impl FleetEngine {
         &self,
         shard_states: &mut [ShardState],
         signals: &[RegionSignal],
-        pricing: Option<&PipelinePricing>,
         epoch_end: u64,
         trace: bool,
     ) {
@@ -708,7 +703,6 @@ impl FleetEngine {
         };
         let charge = CloudCharge {
             signals,
-            pricing,
             penalty_ms: match scenario.serving.failover {
                 FailoverPolicy::SiblingRegion { penalty_ms } => penalty_ms,
                 FailoverPolicy::ToDevice => 0.0,
@@ -1659,13 +1653,7 @@ mod tests {
             assert_eq!(shards.len(), 2);
             let epoch_ends = (1..=num_epochs as u64).map(|e| (e * epoch_us).min(horizon_us));
             for (epoch, epoch_end) in epoch_ends.enumerate() {
-                engine.advance_epoch::<FluidRegionReplay>(
-                    &mut shards,
-                    &signals,
-                    None,
-                    epoch_end,
-                    false,
-                );
+                engine.advance_epoch::<FluidRegionReplay>(&mut shards, &signals, epoch_end, false);
                 for shard in &shards {
                     assert_eq!(shard.row.len(), shard.ids.len());
                     for (sample, &id) in shard.row.iter().zip(&shard.ids) {

@@ -56,7 +56,8 @@
 //!   discrete event in a [`RegionMicrosim`] — its own arrival, queueing,
 //!   batch-admission, service, and completion times — giving the report
 //!   exact per-request latency histograms with p50/p90/p95/p99 tails per
-//!   region and per backend ([`cloud`]).
+//!   region and per backend, and the only fidelity that runs staged
+//!   pipelines ([`cloud`]).
 //! * [`FleetEngine`] — the sharded discrete-event engine ([`engine`]).
 //! * [`FleetReport`] — mergeable aggregates: fixed-bin latency/energy
 //!   histograms with percentiles, switch/shed/failover counts, per-region
@@ -120,15 +121,17 @@
 //! pipeline stages — each a schedulable request on the serving tier —
 //! with the activation transfer between consecutive stages priced in
 //! integer microseconds through `lens_wireless::TransferModel` on the
-//! origin region's uplink. The fluid tier charges per-stage queue waits
-//! and the summed transfers analytically; in the per-request tier, a
-//! stage-`k` completion at `t` schedules the stage-`k + 1` arrival at
+//! origin region's uplink. Staged pipelines run under
+//! [`CloudSimFidelity::PerRequest`] only — the scenario build rejects a
+//! spec of depth ≥ 2 under [`CloudSimFidelity::Fluid`]: a stage-`k`
+//! completion at `t` schedules the stage-`k + 1` arrival at
 //! `t + transfer` as an event of the region's microsim, served at that
 //! true time — in the same epoch, a later one, or the post-horizon
 //! flush — while the device is charged each stage's sojourn plus the
 //! transfer. The chained requests extend (not replace) the arrival key
 //! above with the stage number. A depth-1 spec is structurally the
-//! monolithic path, so pipelining costs nothing when unused.
+//! monolithic path in both fidelities, so pipelining costs nothing when
+//! unused.
 //!
 //! # Examples
 //!
@@ -188,10 +191,11 @@
 //!
 //! A staged device → edge → cloud pipeline: one boundary (the activation
 //! bytes crossing between the two remote stages) turns every offload into
-//! a two-stage chain, and the report grows a stage ledger:
+//! a two-stage chain of microsim requests, and the report grows a stage
+//! ledger:
 //!
 //! ```
-//! use lens_fleet::{FleetEngine, FleetPolicy, FleetScenario, PipelineSpec};
+//! use lens_fleet::{CloudSimFidelity, FleetEngine, FleetPolicy, FleetScenario, PipelineSpec};
 //! use lens_nn::units::Millis;
 //!
 //! # fn main() -> Result<(), lens_fleet::FleetError> {
@@ -199,6 +203,7 @@
 //!     .population(200)
 //!     .horizon(Millis::new(300_000.0)) // 5 minutes
 //!     .policy(FleetPolicy::Dynamic)
+//!     .fidelity(CloudSimFidelity::PerRequest) // stages need the microsim
 //!     .pipeline(PipelineSpec::new(vec![150_528])) // one inter-stage hop
 //!     .seed(17)
 //!     .build()?;

@@ -90,10 +90,8 @@ impl PipelineSpec {
 }
 
 /// Transfer prices for one scenario, precomputed at engine build:
-/// integer microseconds per `(origin region, boundary)` pair, plus the
-/// float totals the fluid tier charges — **derived from** the integers,
-/// never computed independently, so both fidelities price the same hop
-/// identically.
+/// integer microseconds per `(origin region, boundary)` pair, which the
+/// per-request microsim adds to each chained stage's arrival time.
 ///
 /// Hops are priced on the request's *origin* region even after
 /// failover: the activation leaves the device's network, and keeping
@@ -106,10 +104,6 @@ pub(crate) struct PipelinePricing {
     pub depth: u32,
     /// `transfer_us[origin_region][boundary]` — the exact hop cost.
     pub transfer_us: Vec<Vec<u64>>,
-    /// Per-origin-region sum of all hop costs, in ms, derived from the
-    /// integer microsecond total (what the fluid tier charges a
-    /// device's end-to-end latency).
-    pub total_ms: Vec<f64>,
 }
 
 impl PipelinePricing {
@@ -128,14 +122,9 @@ impl PipelinePricing {
                     .collect()
             })
             .collect();
-        let total_ms = transfer_us
-            .iter()
-            .map(|hops| total_us(hops) as f64 / 1000.0)
-            .collect();
         PipelinePricing {
             depth: spec.depth() as u32,
             transfer_us,
-            total_ms,
         }
     }
 
@@ -145,19 +134,15 @@ impl PipelinePricing {
         self.transfer_us[origin][boundary]
     }
 
-    /// The largest summed hop cost (µs) any origin region's requests pay.
+    /// The largest summed hop cost (µs) any origin region's requests
+    /// pay, saturating at `u64::MAX`.
     pub(crate) fn max_total_us(&self) -> u64 {
         self.transfer_us
             .iter()
-            .map(|hops| total_us(hops))
+            .map(|hops| hops.iter().fold(0u64, |acc, &us| acc.saturating_add(us)))
             .max()
             .unwrap_or(0)
     }
-}
-
-/// One origin region's summed hop cost (µs), saturating at `u64::MAX`.
-fn total_us(hops: &[u64]) -> u64 {
-    hops.iter().fold(0u64, |acc, &us| acc.saturating_add(us))
 }
 
 #[cfg(test)]
@@ -195,15 +180,17 @@ mod tests {
         let uplinks = [Mbps::new(7.5), Mbps::new(0.7)];
         let pricing = PipelinePricing::new(&spec, &uplinks);
         assert_eq!(pricing.depth, 3);
+        let mut totals_us = Vec::new();
         for (r, &uplink) in uplinks.iter().enumerate() {
             let model = TransferModel::new(uplink);
             assert_eq!(pricing.hop_us(r, 0), model.cost_us(150_528));
             assert_eq!(pricing.hop_us(r, 1), model.cost_us(86_528));
-            let total_us = model.cost_us(150_528) + model.cost_us(86_528);
-            assert!((pricing.total_ms[r] - total_us as f64 / 1000.0).abs() < 1e-12);
+            totals_us.push(model.cost_us(150_528) + model.cost_us(86_528));
         }
-        // The poor link pays strictly more for the same activations.
-        assert!(pricing.total_ms[1] > pricing.total_ms[0]);
+        // The poor link pays strictly more for the same activations, and
+        // its total is the largest.
+        assert!(totals_us[1] > totals_us[0]);
+        assert_eq!(pricing.max_total_us(), totals_us[1]);
     }
 
     #[test]

@@ -12,15 +12,16 @@
 //! barrier loop. A worker is a [`RegionTier`], and the trait holds
 //! everything that differs between them. In the shard step
 //! [`RegionTier::book`] takes each offload, priced at the device's share
-//! only: [`FluidRegionReplay`] charges the published wait and the staged
-//! transfers at once and counts the stages into the epoch's arrivals,
-//! while [`PerRequestRegionReplay`] defers the request. At the barrier
-//! the fluid tier admits the summed counts and drains them as epoch
+//! only: [`FluidRegionReplay`] charges the published wait at once and
+//! counts the offload into the epoch's arrivals, while
+//! [`PerRequestRegionReplay`] defers the request. At the barrier the
+//! fluid tier admits the summed counts and drains them as epoch
 //! aggregates, while the per-request tier replays every deferred request
 //! through its region's microsim, books each completion — the pipeline
 //! stages the microsim chains included — as its batch closes, and drains
-//! its backlog past the horizon. Each tier builds its own
-//! `BackendReport`s.
+//! its backlog past the horizon. Staged pipelines run only on the
+//! per-request tier: the scenario build rejects them under the fluid
+//! one. Each tier builds its own `BackendReport`s.
 //!
 //! Determinism holds by construction, not by luck:
 //!
@@ -109,14 +110,12 @@ where
 }
 
 /// What the cloud charges the offloads of one epoch: the signals the
-/// barrier published, the scenario's staged-pipeline pricing, and the
-/// failover penalty. Built once per epoch and shared by every shard.
+/// barrier published and the failover penalty. Built once per epoch and
+/// shared by every shard.
 #[derive(Debug)]
 pub(crate) struct CloudCharge<'a> {
     /// The per-region signals the epoch's devices read.
     pub(crate) signals: &'a [RegionSignal],
-    /// Hop prices, when the scenario stages offloads.
-    pub(crate) pricing: Option<&'a PipelinePricing>,
     /// The inter-region latency a failed-over request pays (ms).
     pub(crate) penalty_ms: f64,
 }
@@ -195,12 +194,9 @@ impl FluidRegionReplay {
 impl RegionTier for FluidRegionReplay {
     const PER_REQUEST: bool = false;
 
-    /// Charges the destination's published wait once per stage (a
-    /// failover adds its penalty once: the whole chain serves in the
-    /// sibling), then the origin's summed inter-stage transfers — priced
-    /// on the origin uplink even after failover, since the activations
-    /// leave the device's network. Records the inference and its stage
-    /// ledger, and counts every stage into the destination's arrivals.
+    /// Charges the destination's published wait (plus the penalty after
+    /// a failover), records the inference, and counts it into the
+    /// destination's arrivals.
     fn book(
         output: &mut ShardEpochOutput,
         report: &mut FleetReport,
@@ -208,29 +204,18 @@ impl RegionTier for FluidRegionReplay {
         request: OffloadRequest,
         charge: &CloudCharge<'_>,
     ) {
-        let stages = charge.pricing.map_or(1, |p| p.depth);
-        let wait_ms = charge.signals[dest].wait_ms(request.high_priority) * f64::from(stages);
+        let wait_ms = charge.signals[dest].wait_ms(request.high_priority);
         let cloud_ms = if request.failed_over {
             wait_ms + charge.penalty_ms
         } else {
             wait_ms
         };
-        let transfer_ms = charge
-            .pricing
-            .map_or(0.0, |p| p.total_ms[request.origin_region as usize]);
-        let latency_ms = request.base_latency_ms + cloud_ms + transfer_ms;
-        record_offload(report, dest, &request, latency_ms);
-        if let Some(pricing) = charge.pricing {
-            for stage in 1..=pricing.depth {
-                report.record_stage_completion(stage, None);
-            }
-            report.record_transfer_ms(transfer_ms);
-        }
+        record_offload(report, dest, &request, request.base_latency_ms + cloud_ms);
         let slot = &mut output.arrivals[dest];
         if request.high_priority {
-            slot.0 += u64::from(stages);
+            slot.0 += 1;
         } else {
-            slot.1 += u64::from(stages);
+            slot.1 += 1;
         }
     }
 
@@ -449,7 +434,7 @@ fn book_completion(
 ) -> Option<TraceEvent> {
     let stage = c.request.stage;
     if let Some(pricing) = pricing {
-        report.record_stage_completion(stage, Some(c.sojourn_ms));
+        report.record_stage_completion(stage, c.sojourn_ms);
         if stage < pricing.depth {
             let transfer_us = pricing.hop_us(c.request.origin_region as usize, stage as usize - 1);
             report.record_transfer_ms(transfer_us as f64 / 1000.0);
@@ -543,7 +528,6 @@ mod tests {
         request: OffloadRequest,
         dest: usize,
         signals: &[RegionSignal],
-        pricing: Option<&PipelinePricing>,
     ) -> (ShardEpochOutput, FleetReport) {
         let regions = signals.len();
         let names: Vec<String> = (0..regions).map(|r| format!("r{r}")).collect();
@@ -556,7 +540,6 @@ mod tests {
         let mut report = FleetReport::empty(10.0, 5.0, 100, &names);
         let charge = CloudCharge {
             signals,
-            pricing,
             penalty_ms: 40.0,
         };
         T::book(&mut output, &mut report, dest, request, &charge);
@@ -568,9 +551,8 @@ mod tests {
         request: OffloadRequest,
         dest: usize,
         signals: &[RegionSignal],
-        pricing: Option<&PipelinePricing>,
     ) -> (f64, ShardEpochOutput, FleetReport) {
-        let (output, report) = book::<FluidRegionReplay>(request, dest, signals, pricing);
+        let (output, report) = book::<FluidRegionReplay>(request, dest, signals);
         assert_eq!(report.inferences(), 1);
         (report.latency().max(), output, report)
     }
@@ -599,12 +581,12 @@ mod tests {
     }
 
     #[test]
-    fn fluid_book_charges_waits_penalty_and_transfers() {
+    fn fluid_book_charges_waits_and_penalty() {
         let (base, failed_over) = offloads();
 
-        // The published 500 ms wait lands on the offload, and its one
-        // stage in the region's low-priority arrivals.
-        let (latency, output, report) = fluid(base, 0, &[waiting(500.0)], None);
+        // The published 500 ms wait lands on the offload, and the offload
+        // in the region's low-priority arrivals.
+        let (latency, output, report) = fluid(base, 0, &[waiting(500.0)]);
         assert_eq!(latency, 70.0 + 500.0);
         assert_eq!(output.arrivals, [(0, 1)]);
         assert!(output.requests.iter().all(Vec::is_empty));
@@ -619,14 +601,14 @@ mod tests {
             wait_high_ms: 50.0,
             ..waiting(500.0)
         };
-        let (latency, output, _) = fluid(high, 0, &[split], None);
+        let (latency, output, _) = fluid(high, 0, &[split]);
         assert_eq!(latency, 70.0 + 50.0);
         assert_eq!(output.arrivals, [(1, 0)]);
 
         // A failover pays the sibling's 200 ms wait plus the 40 ms
         // penalty, and counts into the sibling's arrivals.
         let signals = [RegionSignal::default(), waiting(900.0), waiting(200.0)];
-        let (latency, output, report) = fluid(failed_over, 2, &signals, None);
+        let (latency, output, report) = fluid(failed_over, 2, &signals);
         assert_eq!(latency, 70.0 + 240.0);
         assert_eq!(output.arrivals, [(0, 0), (0, 0), (0, 1)]);
         assert_eq!(report.regions()[0].failed_over, 1);
@@ -638,54 +620,28 @@ mod tests {
             RegionSignal::default(),
             waiting(400.0),
         ];
-        let idle = fluid(failed_over, 1, &signals, None).0;
-        let cheap = fluid(failed_over, 2, &signals, None).0;
+        let idle = fluid(failed_over, 1, &signals).0;
+        let cheap = fluid(failed_over, 2, &signals).0;
         assert_eq!(cheap - idle, 400.0);
-
-        // Staged: the wait is charged once per stage (3×), then the
-        // origin's summed transfers (12.5 ms at 1 µs per byte); the
-        // ledger counts every stage.
-        let spec = PipelineSpec::new(vec![10_000, 2_500]);
-        let staged = PipelinePricing::new(&spec, &[Mbps::new(8.0)]);
-        assert_eq!(staged.total_ms, [12.5]);
-        let (calm, ..) = fluid(base, 0, &[RegionSignal::default()], Some(&staged));
-        assert_eq!(calm, 70.0 + 12.5);
-        let (queued, output, report) = fluid(base, 0, &[waiting(100.0)], Some(&staged));
-        assert_eq!(queued, 70.0 + 300.0 + 12.5);
-        assert_eq!(output.arrivals, [(0, 3)]);
-        assert_eq!(report.stage_completions(), &[1, 1, 1]);
-        assert_eq!(report.transfer_ms(), 12.5);
-
-        // Depth 1 with zero transfers is bit-identical to monolithic.
-        let depth_one = PipelinePricing::new(&PipelineSpec::default(), &[Mbps::new(8.0)]);
-        let (mono, mono_output, _) = fluid(base, 0, &[waiting(100.0)], None);
-        let (degenerate, output, _) = fluid(base, 0, &[waiting(100.0)], Some(&depth_one));
-        assert_eq!(degenerate.to_bits(), mono.to_bits());
-        assert_eq!(output.arrivals, mono_output.arrivals);
     }
 
     #[test]
     fn per_request_book_defers_the_request_and_adds_only_the_penalty() {
         let (base, failed_over) = offloads();
         let signals = [waiting(500.0), waiting(900.0), waiting(200.0)];
-        let spec = PipelineSpec::new(vec![10_000, 2_500]);
-        let staged = PipelinePricing::new(&spec, &[Mbps::new(8.0); 3]);
-        for pricing in [None, Some(&staged)] {
-            // Waits and transfers are the microsim's; a failover pays its
-            // 40 ms penalty at once. The record waits for the completion.
-            let (output, report) =
-                book::<PerRequestRegionReplay>(failed_over, 2, &signals, pricing);
-            let charged = OffloadRequest {
-                base_latency_ms: 70.0 + 40.0,
-                ..failed_over
-            };
-            assert_eq!(output.requests, [vec![], vec![], vec![charged]]);
-            assert_eq!(output.arrivals, [(0, 0); 3]);
-            assert_eq!(report.inferences(), 0);
-            // Without a failover the request is deferred unchanged.
-            let (output, _) = book::<PerRequestRegionReplay>(base, 0, &signals, pricing);
-            assert_eq!(output.requests, [vec![base], vec![], vec![]]);
-        }
+        // Waits and transfers are the microsim's; a failover pays its
+        // 40 ms penalty at once. The record waits for the completion.
+        let (output, report) = book::<PerRequestRegionReplay>(failed_over, 2, &signals);
+        let charged = OffloadRequest {
+            base_latency_ms: 70.0 + 40.0,
+            ..failed_over
+        };
+        assert_eq!(output.requests, [vec![], vec![], vec![charged]]);
+        assert_eq!(output.arrivals, [(0, 0); 3]);
+        assert_eq!(report.inferences(), 0);
+        // Without a failover the request is deferred unchanged.
+        let (output, _) = book::<PerRequestRegionReplay>(base, 0, &signals);
+        assert_eq!(output.requests, [vec![base], vec![], vec![]]);
     }
 
     /// `device`'s completions, in completion order.

@@ -524,9 +524,7 @@ pub struct FleetReport {
     /// off this vector.
     stage_completions: Vec<u64>,
     /// Per-stage cloud sojourn histograms (ms), same layout as
-    /// [`FleetReport::cloud_sojourn`]. Populated only by the
-    /// per-request fidelity of a staged run; the fluid tier resolves
-    /// stages as aggregates and records none.
+    /// [`FleetReport::cloud_sojourn`]: one sample per stage completion.
     stage_sojourn: Vec<Histogram>,
     /// Total inter-stage activation-transfer time charged to the fleet,
     /// as a fixed-point (micro-unit) ms sum derived from the integer
@@ -558,11 +556,9 @@ impl FleetReport {
         }
     }
 
-    /// Counts one completed pipeline-stage request (1-based `stage`),
-    /// growing the per-stage vectors on demand. The per-request barrier
-    /// supplies the stage's exact cloud sojourn; the fluid tier, which
-    /// has no per-request times, passes `None`.
-    pub(crate) fn record_stage_completion(&mut self, stage: u32, sojourn_ms: Option<f64>) {
+    /// Counts one completed pipeline-stage request (1-based `stage`) and
+    /// its exact cloud sojourn, growing the per-stage vectors on demand.
+    pub(crate) fn record_stage_completion(&mut self, stage: u32, sojourn_ms: f64) {
         let idx = (stage as usize).saturating_sub(1);
         if self.stage_completions.len() <= idx {
             self.stage_completions.resize(idx + 1, 0);
@@ -571,9 +567,7 @@ impl FleetReport {
             });
         }
         self.stage_completions[idx] += 1;
-        if let Some(ms) = sojourn_ms {
-            self.stage_sojourn[idx].record(ms);
-        }
+        self.stage_sojourn[idx].record(sojourn_ms);
     }
 
     /// Adds one priced inter-stage transfer (ms, derived from the
@@ -758,8 +752,8 @@ impl FleetReport {
         &self.stage_completions
     }
 
-    /// Per-stage cloud sojourn histograms (ms), index = stage − 1.
-    /// Populated only by the per-request fidelity of a staged run.
+    /// Per-stage cloud sojourn histograms (ms), index = stage − 1: one
+    /// sample per stage completion. Empty for monolithic scenarios.
     pub fn stage_sojourn(&self) -> &[Histogram] {
         &self.stage_sojourn
     }
@@ -1008,10 +1002,10 @@ mod tests {
         let mut a = empty.clone();
         let mut b = empty.clone();
         // `a` saw stages 1 and 2; `b` only stage 1 (shorter vectors).
-        a.record_stage_completion(1, Some(12.0));
-        a.record_stage_completion(2, Some(30.0));
+        a.record_stage_completion(1, 12.0);
+        a.record_stage_completion(2, 30.0);
         a.record_transfer_ms(4.5);
-        b.record_stage_completion(1, None);
+        b.record_stage_completion(1, 20.0);
         let a_alone = a.digest();
 
         // Merge pads the shorter side in either direction.
@@ -1020,7 +1014,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.stage_completions(), &[2, 1]);
         assert_eq!(ba.stage_completions(), &[2, 1]);
-        assert_eq!(a.stage_sojourn()[0].count(), 1);
+        assert_eq!(a.stage_sojourn()[0].count(), 2);
         assert_eq!(a.stage_sojourn()[1].count(), 1);
         assert!((a.transfer_ms() - 4.5).abs() < 1e-9);
         assert_eq!(a.digest(), ba.digest(), "merge must be order-independent");

@@ -143,8 +143,10 @@ impl WorkloadCurve {
     /// `start` for `duration`, then back to baseline — the curve
     /// `examples/flash_crowd.rs` drives the closed loop with.
     pub fn flash_crowd(start: Millis, duration: Millis) -> Self {
+        // The casts and the sum saturate; `validate` rejects any start
+        // past the µs clock.
         let start_us = (start.get() * 1000.0).round() as u64;
-        let end_us = start_us + (duration.get() * 1000.0).round() as u64;
+        let end_us = start_us.saturating_add((duration.get() * 1000.0).round() as u64);
         WorkloadCurve::from_phases_fp(vec![
             (0, 300_000),
             (start_us, CURVE_FP_SCALE),
@@ -161,7 +163,7 @@ impl WorkloadCurve {
         WorkloadCurve::from_phases_fp(vec![
             (0, 250_000),
             (duration_us, CURVE_FP_SCALE),
-            (2 * duration_us, 250_000),
+            (duration_us.saturating_mul(2), 250_000),
         ])
         .with_region_offset(region_offset)
     }
@@ -200,15 +202,20 @@ impl WorkloadCurve {
     /// # Errors
     ///
     /// Returns a human-readable reason when the curve has no phases, does
-    /// not start at time 0, has non-increasing phase starts, carries a
-    /// multiplier outside `[0, CURVE_FP_SCALE]`, or has a per-region
-    /// offset above 2^53 µs.
+    /// not start at time 0, has a phase start above 2^53 µs or
+    /// non-increasing phase starts, carries a multiplier outside
+    /// `[0, CURVE_FP_SCALE]`, or has a per-region offset above 2^53 µs.
     pub fn validate(&self) -> Result<(), String> {
         if self.phases.is_empty() {
             return Err("workload curve needs at least one phase".to_string());
         }
         if self.phases[0].0 != 0 {
             return Err("workload curve must start at time 0".to_string());
+        }
+        // Checked before the ordering: the canonical curves saturate their
+        // starts at `u64::MAX`, where two of them can tie.
+        if self.phases.iter().any(|&(start, _)| start > MAX_SPAN_US) {
+            return Err("workload curve phase starts must be at most 2^53 µs".to_string());
         }
         if self.phases.windows(2).any(|w| w[0].0 >= w[1].0) {
             return Err("workload curve phase starts must be strictly increasing".to_string());
@@ -529,7 +536,8 @@ impl FleetScenarioBuilder {
     /// Sets the cloud simulation fidelity: [`CloudSimFidelity::Fluid`]
     /// (epoch-barrier fluid queues, the default) or
     /// [`CloudSimFidelity::PerRequest`] (discrete per-request
-    /// microsimulation with exact tail-latency reporting).
+    /// microsimulation with exact tail-latency reporting). A staged
+    /// [`pipeline`](FleetScenarioBuilder::pipeline) needs `PerRequest`.
     pub fn fidelity(mut self, fidelity: CloudSimFidelity) -> Self {
         self.scenario.fidelity = fidelity;
         self
@@ -602,9 +610,11 @@ impl FleetScenarioBuilder {
     /// offloaded inference becomes `depth` chained stage requests, with
     /// each boundary's activation transfer priced on the origin
     /// region's uplink (validated at
-    /// [`build`](FleetScenarioBuilder::build)). A spec with no
-    /// boundaries (depth 1) is accepted and behaves exactly like no
-    /// pipeline at all.
+    /// [`build`](FleetScenarioBuilder::build)). Only the per-request
+    /// microsim chains stages, so a spec of depth ≥ 2 fails the build
+    /// unless the fidelity is [`CloudSimFidelity::PerRequest`]. A spec
+    /// with no boundaries (depth 1) is accepted in both fidelities and
+    /// behaves exactly like no pipeline at all.
     pub fn pipeline(mut self, pipeline: PipelineSpec) -> Self {
         self.scenario.pipeline = Some(pipeline);
         self
@@ -626,7 +636,8 @@ impl FleetScenarioBuilder {
     /// Returns [`FleetError::InvalidScenario`] when the description is
     /// contradictory (zero population, empty/non-positive mixes, duplicate
     /// region names, a duration outside the microsecond clock,
-    /// out-of-range tracker alpha, more shards than devices, …).
+    /// out-of-range tracker alpha, more shards than devices, a staged
+    /// pipeline under [`CloudSimFidelity::Fluid`], …).
     pub fn build(self) -> Result<FleetScenario, FleetError> {
         let invalid = |why: &str| Err(FleetError::InvalidScenario(why.to_string()));
         let s = &self.scenario;
@@ -712,6 +723,12 @@ impl FleetScenarioBuilder {
         let pricing = s.pipeline_pricing();
         if pricing.is_some_and(|p| p.max_total_us() > MAX_SPAN_US) {
             return invalid("pipeline transfers must sum to at most 2^53 µs on every uplink");
+        }
+        if s.fidelity == CloudSimFidelity::Fluid && s.staged_pipeline().is_some() {
+            return invalid(
+                "a staged pipeline (depth ≥ 2) needs CloudSimFidelity::PerRequest; \
+                 the fluid tier serves monolithic offloads only",
+            );
         }
         Ok(self.scenario)
     }
@@ -1059,6 +1076,41 @@ mod tests {
         assert_eq!(curve.multiplier_fp(MAX_SPAN_US, usize::MAX), 250_000);
     }
 
+    /// Builds the default scenario with `curve` and asserts it fails,
+    /// naming the phase-start cap.
+    fn assert_curve_past_the_span_rejected(curve: WorkloadCurve) {
+        match FleetScenario::builder().workload(curve).build() {
+            Err(FleetError::InvalidScenario(why)) => assert!(
+                why.contains("phase starts must be at most 2^53 µs"),
+                "{why}"
+            ),
+            other => panic!("expected InvalidScenario, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn flash_crowd_past_the_clock_span_is_rejected_at_build() {
+        // The start saturates the cast and the end the sum, so the two
+        // starts tie at `u64::MAX`; a start just past the span does not
+        // saturate at all.
+        assert_curve_past_the_span_rejected(WorkloadCurve::flash_crowd(
+            Millis::new(1e18),
+            Millis::new(1e18),
+        ));
+        assert_curve_past_the_span_rejected(WorkloadCurve::flash_crowd(
+            Millis::new(60_000.0),
+            Millis::new(SPAN_MS),
+        ));
+    }
+
+    #[test]
+    fn regional_wave_past_the_clock_span_is_rejected_at_build() {
+        // 1e19 µs fits `u64`, but the pulse's end, twice that, does not.
+        let curve = WorkloadCurve::regional_wave(Millis::new(1e16), Millis::new(1.0));
+        assert_eq!(curve.phases()[2].0, u64::MAX);
+        assert_curve_past_the_span_rejected(curve);
+    }
+
     #[test]
     fn workload_curve_evaluates_piecewise_and_shifts_per_region() {
         let curve = WorkloadCurve::from_phases_fp(vec![(0, 250_000), (1_000, CURVE_FP_SCALE)])
@@ -1132,6 +1184,7 @@ mod tests {
 
         let staged = PipelineSpec::new(vec![86_528, 4_096]);
         let s = FleetScenario::builder()
+            .fidelity(CloudSimFidelity::PerRequest)
             .pipeline(staged.clone())
             .build()
             .unwrap();

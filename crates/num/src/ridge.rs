@@ -44,7 +44,8 @@ pub struct RidgeRegression {
 
 impl RidgeRegression {
     /// Fits the model to rows of features `xs` and targets `ys` with
-    /// regularization strength `lambda`.
+    /// regularization strength `lambda`: the one-target case of
+    /// [`fit_all`](Self::fit_all).
     ///
     /// # Errors
     ///
@@ -56,11 +57,29 @@ impl RidgeRegression {
     /// * [`NumError::NotPositiveDefinite`] if the regularized normal
     ///   equations do not factor.
     pub fn fit<R: AsRef<[f64]>>(xs: &[R], ys: &[f64], lambda: f64) -> Result<Self, NumError> {
+        let [model] = Self::fit_all(xs, [ys], lambda)?;
+        Ok(model)
+    }
+
+    /// Fits one model per target vector in `targets`, all over the same
+    /// features `xs` and `lambda`. The feature standardization, XᵀX and
+    /// its Cholesky factor are built once and shared; each model is bit
+    /// for bit the one [`fit`](Self::fit) returns for its target alone.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`fit`](Self::fit), for the first target that
+    /// raises one.
+    pub fn fit_all<R: AsRef<[f64]>, const K: usize>(
+        xs: &[R],
+        targets: [&[f64]; K],
+        lambda: f64,
+    ) -> Result<[Self; K], NumError> {
         if xs.is_empty() {
             return Err(NumError::EmptyInput("ridge regression features"));
         }
         let d = xs[0].as_ref().len();
-        if xs.len() != ys.len() {
+        if let Some(ys) = targets.iter().find(|ys| ys.len() != xs.len()) {
             // The features are an n × d matrix and the targets an m × 1
             // column.
             return Err(NumError::DimensionMismatch {
@@ -84,7 +103,7 @@ impl RidgeRegression {
                 return Err(NumError::NonFinite("ridge regression features"));
             }
         }
-        if ys.iter().any(|y| !y.is_finite()) {
+        if targets.iter().any(|ys| ys.iter().any(|y| !y.is_finite())) {
             return Err(NumError::NonFinite("ridge regression targets"));
         }
         let n = xs.len();
@@ -118,8 +137,6 @@ impl RidgeRegression {
             return Err(NumError::NonFinite("ridge regression features"));
         }
 
-        let y_mean = ys.iter().sum::<f64>() / n as f64;
-
         // XᵀX's lower triangle, row `i` holding its `i + 1` entries up to
         // the diagonal as `Cholesky::push_row` takes them, built one
         // standardized sample at a time. Each entry sums the samples in
@@ -141,30 +158,34 @@ impl RidgeRegression {
             gram_row[i] += lambda.max(1e-12);
             chol.push_row(&gram_row)?;
         }
-        // Xᵀ(y − ȳ): each entry is an in-order `Iterator::sum` over the
-        // samples, as `linalg::dot` computes it.
-        let xty: Vec<f64> = (0..d)
-            .map(|j| {
-                xs.iter()
-                    .zip(ys)
-                    .map(|(row, &y)| (row.as_ref()[j] - means[j]) / scales[j] * (y - y_mean))
-                    .sum()
-            })
-            .collect();
-        // With finite features each standardized value is at most √n in
-        // magnitude, so an overflow here, or in ȳ or a y − ȳ before it,
-        // comes from the targets.
-        if xty.iter().any(|v| !v.is_finite()) {
-            return Err(NumError::NonFinite("ridge regression targets"));
-        }
-        let weights = chol.solve(&xty);
 
-        Ok(RidgeRegression {
-            weights,
-            intercept: y_mean,
-            feature_means: means,
-            feature_scales: scales,
-        })
+        let mut models = Vec::with_capacity(K);
+        for ys in targets {
+            let y_mean = ys.iter().sum::<f64>() / n as f64;
+            // Xᵀ(y − ȳ): each entry is an in-order `Iterator::sum` over
+            // the samples, as `linalg::dot` computes it.
+            let xty: Vec<f64> = (0..d)
+                .map(|j| {
+                    xs.iter()
+                        .zip(ys)
+                        .map(|(row, &y)| (row.as_ref()[j] - means[j]) / scales[j] * (y - y_mean))
+                        .sum()
+                })
+                .collect();
+            // With finite features each standardized value is at most √n
+            // in magnitude, so an overflow here, or in ȳ or a y − ȳ before
+            // it, comes from the targets.
+            if xty.iter().any(|v| !v.is_finite()) {
+                return Err(NumError::NonFinite("ridge regression targets"));
+            }
+            models.push(RidgeRegression {
+                weights: chol.solve(&xty),
+                intercept: y_mean,
+                feature_means: means.clone(),
+                feature_scales: scales.clone(),
+            });
+        }
+        Ok(models.try_into().expect("one model per target"))
     }
 
     /// Predicts the target for one feature row.
@@ -320,6 +341,60 @@ mod tests {
                 0x4011_ea3c_aa92_7158,
                 0x4082_0db2_562f_b9e5,
             ]
+        );
+    }
+
+    /// Fits two targets over the features of the pinned fit above on one
+    /// factorization, and pins each model bit for bit against its
+    /// single-target fit: weights, and predictions, which read the
+    /// intercept and the standardization too.
+    #[test]
+    fn fit_all_matches_each_single_target_fit_bit_for_bit() {
+        let xs: [[f64; 4]; 8] = [
+            [1.0, 4.0, 7.0, 1.0e9],
+            [1.0e10, 12.0, 7.0, 5.0e9],
+            [3.2e7, 9.0, 7.0, 3.0e9],
+            [4.5e9, 1.0, 7.0, 2.0e9],
+            [1.2e3, 9.0, 7.0, 3.0e9],
+            [7.7e5, 16.0, 7.0, 4.0e9],
+            [2.5e8, 2.0, 7.0, 6.0e8],
+            [6.1e6, 19.0, 7.0, 5.4e9],
+        ];
+        let latency = [0.52, 118.25, 3.9, 61.5, 0.61, 0.97, 12.4, 2.05];
+        let power = [
+            1510.0, 2210.5, 1622.25, 1980.0, 1500.5, 1550.0, 1700.75, 1590.0,
+        ];
+        let pair = RidgeRegression::fit_all(&xs, [&latency, &power], 1e-4).unwrap();
+        let queries = [
+            [2.0e9, 9.0, 7.0, 3.0e9],
+            [1.0, 4.0, 7.0, 1.0e9],
+            [5.0e10, 20.0, 8.0, 1.0e10],
+        ];
+        let bits = |model: &RidgeRegression| {
+            let weights: Vec<u64> = model.weights().iter().map(|w| w.to_bits()).collect();
+            let predictions: Vec<u64> =
+                queries.iter().map(|q| model.predict(q).to_bits()).collect();
+            (weights, predictions)
+        };
+        for (model, ys) in pair.iter().zip([&latency, &power]) {
+            let alone = RidgeRegression::fit(&xs, ys, 1e-4).unwrap();
+            assert_eq!(bits(model), bits(&alone));
+        }
+        assert_ne!(bits(&pair[0]), bits(&pair[1]));
+        // A bad second target fails the whole fit, as it would alone.
+        assert_eq!(
+            RidgeRegression::fit_all(&xs, [&latency, &[1.0; 7]], 1e-4),
+            Err(NumError::DimensionMismatch {
+                op: "ridge fit",
+                lhs: (8, 4),
+                rhs: (7, 1),
+            })
+        );
+        let mut nan = power;
+        nan[3] = f64::NAN;
+        assert_eq!(
+            RidgeRegression::fit_all(&xs, [&latency, &nan], 1e-4),
+            Err(NumError::NonFinite("ridge regression targets"))
         );
     }
 

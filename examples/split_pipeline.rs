@@ -21,7 +21,11 @@
 //!    than a uniform one.
 //! 3. **Determinism survives pipelining** — staged runs are digest-
 //!    identical across 1/2/4 shards and across sequential vs. parallel
-//!    barrier replay, in both fidelities.
+//!    barrier replay.
+//!
+//! Every run is at per-request fidelity, the one that chains stages as
+//! requests of their own; the scenario build rejects a staged pipeline
+//! under the fluid tier.
 //!
 //! ```sh
 //! cargo run --release -p lens --example split_pipeline
@@ -53,7 +57,6 @@ fn staged_scenario(
     serving: CloudServing,
     pipeline: Option<PipelineSpec>,
     shards: usize,
-    fidelity: CloudSimFidelity,
     replay: ReplayMode,
 ) -> FleetScenario {
     let mut builder = FleetScenario::builder()
@@ -65,7 +68,7 @@ fn staged_scenario(
         .metric(Metric::Energy)
         .seed(41)
         .shards(shards)
-        .fidelity(fidelity)
+        .fidelity(CloudSimFidelity::PerRequest)
         .replay(replay);
     if let Some(pipeline) = pipeline {
         builder = builder.pipeline(pipeline);
@@ -185,13 +188,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             } else {
                 hetero_serving()
             };
-            let report = run(staged_scenario(
-                tier,
-                pipeline,
-                shards,
-                CloudSimFidelity::PerRequest,
-                ReplayMode::Auto,
-            ));
+            let report = run(staged_scenario(tier, pipeline, shards, ReplayMode::Auto));
             println!(
                 "{label:<14} {depth:<10} {:>10.1} {:>10.1} {:>14.1} {:>12}",
                 report.latency().mean(),
@@ -272,43 +269,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Determinism pins: pipelined runs are digest-identical across
-    // shard counts and replay modes, in both fidelities.
+    // shard counts and replay modes.
     println!("\n== determinism pins ==");
-    for fidelity in [CloudSimFidelity::Fluid, CloudSimFidelity::PerRequest] {
-        let one = run(staged_scenario(
+    let one = run(staged_scenario(
+        hetero_serving(),
+        Some(spec3.clone()),
+        1,
+        ReplayMode::Sequential,
+    ));
+    for shard_count in [2, 4] {
+        let other = run(staged_scenario(
             hetero_serving(),
             Some(spec3.clone()),
-            1,
-            fidelity,
+            shard_count,
             ReplayMode::Sequential,
         ));
-        for shard_count in [2, 4] {
-            let other = run(staged_scenario(
-                hetero_serving(),
-                Some(spec3.clone()),
-                shard_count,
-                fidelity,
-                ReplayMode::Sequential,
-            ));
-            assert_eq!(
-                one.digest(),
-                other.digest(),
-                "{fidelity:?}: staged digest differs at {shard_count} shards"
-            );
-        }
-        let parallel = run(staged_scenario(
-            hetero_serving(),
-            Some(spec3.clone()),
-            4,
-            fidelity,
-            ReplayMode::Parallel,
-        ));
-        assert_eq!(one.digest(), parallel.digest());
-        println!(
-            "{fidelity:?}: digest {:#018x} across 1/2/4 shards, sequential == parallel",
-            one.digest()
+        assert_eq!(
+            one.digest(),
+            other.digest(),
+            "staged digest differs at {shard_count} shards"
         );
     }
+    let parallel = run(staged_scenario(
+        hetero_serving(),
+        Some(spec3.clone()),
+        4,
+        ReplayMode::Parallel,
+    ));
+    assert_eq!(one.digest(), parallel.digest());
+    println!(
+        "PerRequest: digest {:#018x} across 1/2/4 shards, sequential == parallel",
+        one.digest()
+    );
 
     println!("\ntotal example time {:.2?}", start.elapsed());
     Ok(())

@@ -334,12 +334,10 @@ fn telemetry_does_not_perturb_the_run() {
 /// fidelities make bit-identical device decisions, so all decision-driven
 /// aggregates must agree *exactly*; the latency accounting is the only
 /// difference, and its means must agree within a documented tolerance
-/// while only the per-request run exposes a tail. Staged runs are
-/// checked the same way, with the stage ledger among the exact
-/// aggregates.
+/// while only the per-request run exposes a tail.
 #[test]
 fn fluid_vs_per_request_cross_check() {
-    let run = |fidelity: CloudSimFidelity, cloud: CloudServing, pipeline: PipelineSpec| {
+    let run = |fidelity: CloudSimFidelity, cloud: CloudServing| {
         let scenario = FleetScenario::builder()
             .population(1500)
             .horizon(Millis::new(1_200_000.0)) // 20 minutes
@@ -350,7 +348,6 @@ fn fluid_vs_per_request_cross_check() {
             .seed(7)
             .shards(2)
             .fidelity(fidelity)
-            .pipeline(pipeline)
             .build()
             .expect("valid scenario");
         FleetEngine::new(scenario)
@@ -359,8 +356,7 @@ fn fluid_vs_per_request_cross_check() {
             .expect("run succeeds")
     };
     // Decision-driven aggregates: exact agreement (integer counts and
-    // fixed-point sums on identical serve() decisions), the stage ledger
-    // included.
+    // fixed-point sums on identical serve() decisions).
     let assert_decisions_agree = |fluid: &FleetReport, discrete: &FleetReport| {
         assert_eq!(fluid.inferences(), discrete.inferences());
         assert_eq!(fluid.offloaded(), discrete.offloaded());
@@ -371,33 +367,27 @@ fn fluid_vs_per_request_cross_check() {
             assert_eq!(f.offloaded, d.offloaded);
             assert_eq!(f.energy_sum_mj(), d.energy_sum_mj());
         }
-        assert_eq!(fluid.stage_completions(), discrete.stage_completions());
-        assert_eq!(fluid.transfer_ms(), discrete.transfer_ms());
     };
-    let monolithic = PipelineSpec::default;
-    let three_stage = || PipelineSpec::new(vec![150_528, 86_528]);
 
     // Uncongested cross-check first: with ample capacity the fluid wait
     // is ~0 and the discrete sojourn is essentially the 8 ms service
     // time, so the means must sit within one single-item service time of
-    // each other — one per stage when staged.
+    // each other.
     let calm_cloud = || CloudServing::single(64, 8.0);
-    for (pipeline, stages) in [(monolithic(), 1.0), (three_stage(), 3.0)] {
-        let calm_fluid = run(CloudSimFidelity::Fluid, calm_cloud(), pipeline.clone());
-        let calm_discrete = run(CloudSimFidelity::PerRequest, calm_cloud(), pipeline);
-        assert_decisions_agree(&calm_fluid, &calm_discrete);
-        assert!(
-            (calm_fluid.latency().mean() - calm_discrete.latency().mean()).abs() <= stages * 8.0,
-            "uncongested means must agree within one service time per stage: {} vs {}",
-            calm_fluid.latency().mean(),
-            calm_discrete.latency().mean()
-        );
-    }
+    let calm_fluid = run(CloudSimFidelity::Fluid, calm_cloud());
+    let calm_discrete = run(CloudSimFidelity::PerRequest, calm_cloud());
+    assert_decisions_agree(&calm_fluid, &calm_discrete);
+    assert!(
+        (calm_fluid.latency().mean() - calm_discrete.latency().mean()).abs() <= 8.0,
+        "uncongested means must agree within one service time: {} vs {}",
+        calm_fluid.latency().mean(),
+        calm_discrete.latency().mean()
+    );
 
     // Congested cross-check: 1500 devices against a 480/min drain.
     let hot_cloud = || CloudServing::single(2, 250.0);
-    let fluid = run(CloudSimFidelity::Fluid, hot_cloud(), monolithic());
-    let discrete = run(CloudSimFidelity::PerRequest, hot_cloud(), monolithic());
+    let fluid = run(CloudSimFidelity::Fluid, hot_cloud());
+    let discrete = run(CloudSimFidelity::PerRequest, hot_cloud());
     assert_decisions_agree(&fluid, &discrete);
 
     // Latency accounting: the models price cloud time differently (the
@@ -413,14 +403,6 @@ fn fluid_vs_per_request_cross_check() {
         (fluid_mean - discrete_mean).abs() <= bound,
         "means diverged beyond tolerance: fluid {fluid_mean} vs per-request {discrete_mean} (bound {bound})"
     );
-
-    // Staged and congested, the decisions and the stage ledger still
-    // agree exactly. The latencies do not: the staged fluid mean reads
-    // ~1.8× the microsim's here, and no bound is claimed for it
-    // (docs/ARCHITECTURE.md, "Staged fluid latency has no cross-check").
-    let staged_fluid = run(CloudSimFidelity::Fluid, hot_cloud(), three_stage());
-    let staged_discrete = run(CloudSimFidelity::PerRequest, hot_cloud(), three_stage());
-    assert_decisions_agree(&staged_fluid, &staged_discrete);
 
     // The per-request run is strictly richer: it has a cloud tail story,
     // the fluid run has none.
@@ -606,11 +588,6 @@ fn golden_scenarios() -> Vec<(&'static str, FleetScenario, Vec<Mechanism>)> {
             vec![Scaling],
         ),
         (
-            "fluid_pipeline",
-            build(base(Fluid, batched_serving()).pipeline(three_stage())),
-            vec![Failover, Stages],
-        ),
-        (
             "per_request_batched",
             build(base(PerRequest, batched_serving())),
             vec![Failover],
@@ -648,7 +625,7 @@ fn golden_scenarios() -> Vec<(&'static str, FleetScenario, Vec<Mechanism>)> {
 
 /// `(scenario, report digest, trace digest, metrics digest)`, recorded on
 /// x86_64 Linux.
-const GOLDEN_DIGESTS: [(&str, u64, u64, u64); 8] = [
+const GOLDEN_DIGESTS: [(&str, u64, u64, u64); 7] = [
     (
         "fluid_single",
         0x9fc11534b3dfba3b,
@@ -666,12 +643,6 @@ const GOLDEN_DIGESTS: [(&str, u64, u64, u64); 8] = [
         0x10e53b82c8f2168c,
         0x9a469f38917c16ae,
         0x8ead91f0ff9fe7ae,
-    ),
-    (
-        "fluid_pipeline",
-        0x237e5367cbe92324,
-        0xa1158e827f0dd673,
-        0x903c21162d702460,
     ),
     (
         "per_request_batched",
@@ -707,7 +678,7 @@ type Work = (u64, u64, u64, u64);
 /// x86_64 Linux. No digest covers the profile, so these catch a refactor
 /// that does more work for the same result, such as an extra heap push
 /// per offload.
-const GOLDEN_WORK: [(&str, [Work; 3]); 8] = [
+const GOLDEN_WORK: [(&str, [Work; 3]); 7] = [
     (
         "fluid_single",
         [(47260, 93020, 0, 0), (0, 0, 0, 15120), (0, 0, 0, 0)],
@@ -719,10 +690,6 @@ const GOLDEN_WORK: [(&str, [Work; 3]); 8] = [
     (
         "fluid_autoscaled",
         [(47260, 93020, 0, 0), (0, 0, 0, 8440), (0, 0, 0, 0)],
-    ),
-    (
-        "fluid_pipeline",
-        [(47260, 93020, 0, 0), (0, 0, 0, 2124), (0, 0, 0, 0)],
     ),
     (
         "per_request_batched",
