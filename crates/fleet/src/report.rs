@@ -237,8 +237,20 @@ impl Histogram {
         fp_sum_to_f64(self.sum_fp)
     }
 
-    pub(crate) fn sum_fp(&self) -> i128 {
-        self.sum_fp
+    /// Feeds the histogram's whole state to a digest: the count, the
+    /// fixed-point sum, every hot bin, the overflow, and the bits of the
+    /// min and the max.
+    fn feed_digest(&self, feed: &mut dyn FnMut(u64)) {
+        feed(self.count);
+        feed(self.sum_fp as u64);
+        feed((self.sum_fp >> 64) as u64);
+        feed(self.hot_bins as u64);
+        for &c in &self.counts[..self.hot_bins] {
+            feed(c);
+        }
+        feed(self.overflow);
+        feed(self.min.to_bits());
+        feed(self.max.to_bits());
     }
 
     /// Mean of all recorded values (0 when empty).
@@ -818,6 +830,13 @@ impl FleetReport {
 
     /// An order-independent digest of the aggregates — handy for asserting
     /// the determinism contract without comparing full structs.
+    ///
+    /// It feeds every count and fixed-point sum, and every histogram the
+    /// report holds — latency, energy, each region's cloud sojourns, each
+    /// stage's sojourns, and each backend's batch sizes and sojourns —
+    /// bin by bin over its hot bins, with its overflow and the bits of its
+    /// min and max. A record that moves between bins therefore moves the
+    /// digest even when every sum stays put.
     pub fn digest(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV offset basis
         let mut feed = |v: u64| {
@@ -828,11 +847,10 @@ impl FleetReport {
             h(fp as u64);
             h((fp >> 64) as u64);
         };
-        feed(self.inferences());
         feed(self.offloaded());
         feed(self.switches());
-        feed_fp(&mut feed, self.latency.sum_fp());
-        feed_fp(&mut feed, self.energy.sum_fp());
+        self.latency.feed_digest(&mut feed);
+        self.energy.feed_digest(&mut feed);
         for r in &self.per_region {
             feed(r.inferences);
             feed(r.offloaded);
@@ -845,11 +863,10 @@ impl FleetReport {
             feed_fp(&mut feed, r.energy_sum_fp);
         }
         for b in &self.backends {
-            feed(b.batch_sizes.count());
+            b.batch_sizes.feed_digest(&mut feed);
             feed(b.served_jobs.to_bits());
             feed(b.busy_ms.to_bits());
-            feed(b.sojourn_ms.count());
-            feed_fp(&mut feed, b.sojourn_ms.sum_fp());
+            b.sojourn_ms.feed_digest(&mut feed);
             feed(b.scaling_events);
             feed_fp(&mut feed, b.cost_fp);
             feed(b.cloud_energy_mj.to_bits());
@@ -858,20 +875,17 @@ impl FleetReport {
             }
         }
         for s in &self.cloud_sojourn {
-            feed(s.count());
-            feed_fp(&mut feed, s.sum_fp());
+            s.feed_digest(&mut feed);
         }
         // Staged runs feed their stage accounting; monolithic runs skip
-        // the block entirely so their digests are unchanged from the
-        // pre-pipeline engine.
+        // the block entirely.
         if !self.stage_completions.is_empty() || self.transfer_ms_fp != 0 {
             feed(self.stage_completions.len() as u64);
             for &c in &self.stage_completions {
                 feed(c);
             }
             for s in &self.stage_sojourn {
-                feed(s.count());
-                feed_fp(&mut feed, s.sum_fp());
+                s.feed_digest(&mut feed);
             }
             feed_fp(&mut feed, self.transfer_ms_fp);
         }
@@ -1179,6 +1193,70 @@ mod tests {
     }
 
     #[test]
+    fn digest_sees_records_that_move_between_bins_with_every_sum_unchanged() {
+        let regions = vec!["USA".to_string()];
+        let sojourn_layout = (crate::cloud::SOJOURN_BIN_MS, crate::cloud::SOJOURN_BINS);
+        // Values in bin widths over a layout of `bins` bins: one count, sum,
+        // min and max in different bins, which only the hot bins tell
+        // apart; and two overflows with one sum, which only the min and max
+        // tell apart.
+        let pairs = |bins: usize| {
+            let over = bins as f64;
+            [
+                (vec![0.5, 2.0, 2.0, 3.5], vec![0.5, 1.5, 2.5, 3.5]),
+                (vec![over + 2.5, over + 3.5], vec![over + 3.0, over + 3.0]),
+            ]
+        };
+        let histogram = |(width, bins): (f64, usize), units: &[f64]| {
+            let mut h = Histogram::new(width, bins);
+            units.iter().for_each(|&u| h.record(u * width));
+            h
+        };
+        let same_sums = |a: &Histogram, b: &Histogram| {
+            assert_eq!(
+                (a.count(), a.sum_fp, a.overflow()),
+                (b.count(), b.sum_fp, b.overflow())
+            );
+        };
+        let with_backend = |batch_sizes: Histogram, sojourn_ms: Histogram| {
+            let mut r = FleetReport::empty(1.0, 1.0, 8, &regions);
+            r.set_backend_reports(vec![backend(batch_sizes, sojourn_ms)]);
+            r.digest()
+        };
+        for (a, b) in pairs(8) {
+            // The report's latency histogram.
+            let latencies = |units: &[f64]| {
+                let mut r = FleetReport::empty(1.0, 1.0, 8, &regions);
+                for &u in units {
+                    r.record(0, &served(u, 1.0, false, false));
+                }
+                r
+            };
+            let (ra, rb) = (latencies(&a), latencies(&b));
+            same_sums(ra.latency(), rb.latency());
+            assert_ne!(ra.digest(), rb.digest(), "{a:?} vs {b:?}");
+            // A backend's batch sizes.
+            let (ha, hb) = (histogram((1.0, 8), &a), histogram((1.0, 8), &b));
+            same_sums(&ha, &hb);
+            let no_sojourns = || histogram(sojourn_layout, &[]);
+            assert_ne!(
+                with_backend(ha, no_sojourns()),
+                with_backend(hb, no_sojourns())
+            );
+        }
+        // A backend's sojourns, which also land in its region's.
+        for (a, b) in pairs(sojourn_layout.1) {
+            let (ha, hb) = (histogram(sojourn_layout, &a), histogram(sojourn_layout, &b));
+            same_sums(&ha, &hb);
+            let no_batches = || histogram((1.0, 8), &[]);
+            assert_ne!(
+                with_backend(no_batches(), ha),
+                with_backend(no_batches(), hb)
+            );
+        }
+    }
+
+    #[test]
     fn merge_is_order_independent() {
         let regions = vec!["A".to_string()];
         let mut parts = Vec::new();
@@ -1204,27 +1282,32 @@ mod tests {
         assert_eq!(fwd.digest(), rev.digest());
     }
 
+    /// A "gpu" backend in region "USA" with the given histograms.
+    fn backend(batch_sizes: Histogram, sojourn_ms: Histogram) -> BackendReport {
+        BackendReport {
+            region: "USA".to_string(),
+            backend: "gpu".to_string(),
+            slots: 2,
+            served_jobs: 100.0,
+            batches: 10.0,
+            busy_ms: 500.0,
+            utilization: 0.5,
+            batch_sizes,
+            sojourn_ms,
+            slot_timeline: vec![2, 2, 4],
+            scaling_events: 1,
+            cost_fp: 8_000_000,
+            cloud_energy_mj: 25.0,
+        }
+    }
+
     #[test]
     fn display_summarizes() {
         let regions = vec!["USA".to_string()];
         let display = |sojourn_ms: Histogram| {
             let mut r = FleetReport::empty(1.0, 1.0, 100, &regions);
             r.record(0, &served(12.0, 3.0, true, true));
-            r.set_backend_reports(vec![BackendReport {
-                region: "USA".to_string(),
-                backend: "gpu".to_string(),
-                slots: 2,
-                served_jobs: 100.0,
-                batches: 10.0,
-                busy_ms: 500.0,
-                utilization: 0.5,
-                batch_sizes: Histogram::new(1.0, 8),
-                sojourn_ms,
-                slot_timeline: vec![2, 2, 4],
-                scaling_events: 1,
-                cost_fp: 8_000_000,
-                cloud_energy_mj: 25.0,
-            }]);
+            r.set_backend_reports(vec![backend(Histogram::new(1.0, 8), sojourn_ms)]);
             format!("{r}")
         };
         let empty = || Histogram::new(crate::cloud::SOJOURN_BIN_MS, crate::cloud::SOJOURN_BINS);
@@ -1294,16 +1377,16 @@ mod tests {
         for _ in 0..10_000 {
             h.record(0.1);
         }
-        assert_eq!(h.sum_fp(), 10_000i128 * 100_000);
+        assert_eq!(h.sum_fp, 10_000i128 * 100_000);
         assert_eq!(h.sum(), 1000.0);
         // Extreme values saturate the i128 accumulator instead of
         // wrapping (as casts clamp, saturating_add holds it there).
         let mut extreme = Histogram::new(1.0, 4);
         extreme.record(f64::MAX);
         extreme.record(f64::MAX);
-        assert_eq!(extreme.sum_fp(), i128::MAX);
+        assert_eq!(extreme.sum_fp, i128::MAX);
         extreme.record(0.5);
-        assert_eq!(extreme.sum_fp(), i128::MAX, "sum must stay saturated");
+        assert_eq!(extreme.sum_fp, i128::MAX, "sum must stay saturated");
         assert_eq!(extreme.count(), 3);
     }
 
@@ -1427,9 +1510,9 @@ mod tests {
         let latency_fp: i128 = samples.iter().map(|s| reference_to_fp(s.0)).sum();
         let energy_fp: i128 = samples.iter().map(|s| reference_to_fp(s.1)).sum();
         let region = &r.regions()[0];
-        assert_eq!(r.latency().sum_fp(), latency_fp);
+        assert_eq!(r.latency().sum_fp, latency_fp);
         assert_eq!(region.latency_sum_fp, latency_fp);
-        assert_eq!(r.energy().sum_fp(), energy_fp);
+        assert_eq!(r.energy().sum_fp, energy_fp);
         assert_eq!(region.energy_sum_fp, energy_fp);
     }
 

@@ -628,43 +628,43 @@ fn golden_scenarios() -> Vec<(&'static str, FleetScenario, Vec<Mechanism>)> {
 const GOLDEN_DIGESTS: [(&str, u64, u64, u64); 7] = [
     (
         "fluid_single",
-        0x9fc11534b3dfba3b,
+        0x7d89f45f3505e709,
         0xdd1a617ddacd9774,
         0xc7b16e32ed8a124f,
     ),
     (
         "fluid_batched",
-        0x3f1285396e1421c1,
+        0x263c8533ec5f3091,
         0x9b38b6bdfd67f535,
         0x871494fe84f1e439,
     ),
     (
         "fluid_autoscaled",
-        0x10e53b82c8f2168c,
+        0x7a47cf2c73d240b2,
         0x9a469f38917c16ae,
         0x8ead91f0ff9fe7ae,
     ),
     (
         "per_request_batched",
-        0x28cb3c1b90de0b1b,
+        0x7d7dcd94b87d076f,
         0xd32ee5166e053d4e,
         0x1b0a739f9d030a20,
     ),
     (
         "per_request_pipeline",
-        0x33cef77c97e707f0,
+        0x009ef3ac6c72e856,
         0xff4a305921e4c862,
         0xe1763ab856bf2225,
     ),
     (
         "per_request_poisson_autoscaled",
-        0xa5c6a5a6b9c21835,
+        0x47f4e06584cabc99,
         0xbb13fcb8081feb97,
         0xe1892cfe890b8397,
     ),
     (
         "per_request_closed_loop",
-        0x39ed9d5eebb79b07,
+        0x89c1ebc49ac0e079,
         0xa08134c80da392e2,
         0x6de9ebe4cae3ad7d,
     ),
