@@ -1338,11 +1338,12 @@ fn key(request: &OffloadRequest) -> (u64, u64, u32) {
 }
 
 /// The run in `runs` whose head has the least key, if any has requests
-/// left. Each shard's run is sorted by the key — shard events pop in
-/// `(time, local)` order over a contiguous ascending range of device ids,
-/// and shards only emit stage 1 — and the key is unique fleet-wide, so
-/// taking the least head each time serves the one total order a global
-/// sort would, in O(runs) per arrival with no copy.
+/// left. Each run is one shard's bucket for one period round, sorted by
+/// the key: a periodic shard visits its devices in firing order and each
+/// fires once per round, a Poisson shard sorts its one bucket, and shards
+/// only emit stage 1. The key is unique fleet-wide, so taking the least
+/// head each time serves the one total order a global sort would, in
+/// O(runs) per arrival with no copy.
 fn least_head(runs: &[&[OffloadRequest]]) -> Option<usize> {
     (0..runs.len())
         .filter(|&i| !runs[i].is_empty())

@@ -809,6 +809,46 @@ mod tests {
     }
 
     #[test]
+    fn a_switch_mid_epoch_splits_the_run_and_records_exactly() {
+        use crate::report::{FleetReport, RunBuffer};
+        // A slow tracker that read 0.2 Mbps for a whole epoch takes a few
+        // inferences at the next epoch's 40 Mbps sample to cross the
+        // dominance map's crossovers, so its option switches in the middle
+        // of the epoch's ten same-sample inferences.
+        let c = cohort(Metric::Energy);
+        let mut d = Device::new(0, false, 0.05, 1);
+        let regions = vec!["USA".to_string()];
+        let mut buffer = RunBuffer::new(FleetReport::empty(10.0, 5.0, 100, &regions));
+        let mut each = FleetReport::empty(10.0, 5.0, 100, &regions);
+        let mut switched_at = Vec::new();
+        for (epoch, tu) in [0.2, 40.0].into_iter().enumerate() {
+            for k in 0..10 {
+                let time_us = (epoch as u64 * 10 + k) * 60_000_000;
+                let s = d.serve_with_sample(
+                    &c,
+                    ctx(&FleetPolicy::Dynamic, Metric::Energy),
+                    &calm(1),
+                    time_us,
+                    Mbps::new(tu),
+                );
+                if s.switched {
+                    switched_at.push((epoch, k));
+                }
+                buffer.record(0, &s);
+                each.record(0, &s);
+            }
+        }
+        buffer.flush();
+        // The first switch lands on the sample change, the second three
+        // inferences later: the epoch's records split into runs of 1, 2, 1
+        // and 6 around them.
+        assert_eq!(switched_at, [(1, 0), (1, 3)]);
+        assert_eq!(buffer.report(), &each);
+        assert_eq!(buffer.report().digest(), each.digest());
+        assert_eq!((each.switches(), each.inferences()), (2, 20));
+    }
+
+    #[test]
     fn poisson_draws_are_positive_and_deterministic() {
         let mut a = Device::new(0, false, 1.0, 9);
         let mut b = Device::new(0, false, 1.0, 9);

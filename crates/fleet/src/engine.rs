@@ -3,22 +3,31 @@
 //! [`FleetEngine::new`] does the design-time work once per scenario —
 //! network analysis, per-cohort option enumeration and dominance maps —
 //! and [`FleetEngine::run`] executes the population: devices are split
-//! into contiguous id ranges (shards), each shard owns an event queue
-//! keyed by integer microseconds (an O(1) sorted ring under periodic
-//! arrivals, a binary heap under Poisson — `EventQueue` below) plus each
-//! device's throughput-trace generator state, and shards synchronize with
-//! the shared cloud only at epoch barriers (see the crate-level docs for
-//! the determinism contract and the one-epoch contention lag).
+//! into contiguous id ranges (shards), each shard keeps one next-event
+//! time (integer microseconds) and one throughput-trace generator state
+//! per device, and shards synchronize with the shared cloud only at epoch
+//! barriers (see the crate-level docs for the determinism contract and the
+//! one-epoch contention lag).
 //!
-//! Under periodic arrivals a shard stores its devices in **firing
-//! order** — sorted by (phase offset, device id) — so each period's pops
-//! walk the device array and the epoch's sample row front to back instead
-//! of landing at hash-random spots. The order is bit-identical to id
-//! order: every device re-arms exactly one period later, so two events at
-//! the same µs belong to devices with the same offset, which sort by id.
-//! The ring therefore pops the same (time, device id) sequence a heap over
-//! id-ordered storage would, and every report, request run and trace event
-//! is unchanged. Poisson shards keep id order.
+//! The shard step is **device-major**: it visits each device once per
+//! epoch and serves all of the device's events in the epoch before the
+//! next device's. Within an epoch a device reads one throughput sample and
+//! one set of published signals, so its inferences mostly repeat one
+//! outcome; the step records through a one-entry run buffer
+//! (`RunBuffer`) that turns each run of identical outcomes into one
+//! exact [`FleetReport`] update, and flushes it before the barrier.
+//!
+//! Only the per-request tier needs time order: its microsim reads the
+//! deferred requests by the `(arrival_us, device_id)` key. Under periodic
+//! arrivals a shard stores its devices in **firing order** — sorted by
+//! (phase offset, device id) — and every device fires once per period
+//! round `[k·P, (k + 1)·P)`, so filing each request under its round
+//! (`Epoch`) leaves every bucket key-sorted: two requests in one round
+//! at the same µs belong to devices with the same offset, which sort by
+//! id. The barrier serves the buckets round by round. Poisson shards keep
+//! id order, their epoch is one round, and the step sorts its bucket.
+//! Trace events are bucketed the same way, so the barrier's merge sees
+//! each shard's events in `(time, device id)` order as before.
 //!
 //! No trace is stored whole. Each device keeps its Gauss–Markov generator
 //! state ([`GaussMarkovState`], 40 B), and at the top of every epoch the
@@ -61,7 +70,7 @@ use crate::replay::{
     replay_in_parallel, run_barrier, CloudCharge, FluidRegionReplay, PerRequestRegionReplay,
     RegionBarrierOutput, RegionTier,
 };
-use crate::report::FleetReport;
+use crate::report::{FleetReport, RunBuffer};
 use crate::scenario::{ArrivalModel, FleetPolicy, FleetScenario, WorkloadCurve};
 use crate::{mix_seed, Cohort, FleetError};
 use lens_device::profile_network;
@@ -73,8 +82,6 @@ use lens_telemetry::{
     PhaseProbe, RunTelemetry, SeriesId, Sink, TraceEvent, METRIC_FP_SCALE,
 };
 use lens_wireless::{GaussMarkov, GaussMarkovState, WirelessLink};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
 
 /// Latency histogram resolution: 10 ms bins up to 20 s, overflow beyond.
 const LATENCY_BIN_MS: f64 = 10.0;
@@ -99,8 +106,10 @@ struct ShardState {
     /// phase offset, then id), in id order under Poisson; a device's
     /// position here is its *local* index.
     devices: Vec<Device>,
-    /// Pending events keyed by (event time µs, local device index).
-    queue: EventQueue,
+    /// `next_us[local]` is device `local`'s next firing time (µs). Every
+    /// earlier event has been served, and a device whose next time is at
+    /// or past the horizon never fires again.
+    next_us: Vec<u64>,
     /// `traces[local]` is device `local`'s throughput trace in progress:
     /// its generator state, advanced one sample per epoch.
     traces: Vec<GaussMarkovState>,
@@ -108,7 +117,9 @@ struct ShardState {
     /// `local`, refilled from `traces` at the top of every epoch and read
     /// front to back in firing order.
     row: Vec<Mbps>,
-    report: FleetReport,
+    /// The shard's report partial behind the run buffer the shard step
+    /// records through, flushed at the end of every step.
+    records: RunBuffer,
     /// `ids[local]` is the stable, shard-count-invariant device id that
     /// requests and trace events carry.
     ids: Vec<u64>,
@@ -122,79 +133,56 @@ pub(crate) struct ShardEpochOutput {
     /// Per-region (high, low) offload arrivals the fluid tier booked —
     /// its feed at the barrier.
     pub(crate) arrivals: Vec<(u64, u64)>,
-    /// Per-destination-region offloaded requests the per-request tier
-    /// deferred to its barrier replay, in shard-local event order — each
-    /// run is therefore already sorted by the unique
-    /// `(arrival_us, device_id, stage)` key, which is what lets the
-    /// region's microsim read the runs in place in key order instead of
-    /// re-sorting them ([`crate::RegionMicrosim::run_epoch`]). The fluid
-    /// tier books every offload at once and leaves them empty.
-    pub(crate) requests: Vec<Vec<OffloadRequest>>,
-    /// Device-side trace events in shard-local event order (empty when
-    /// untraced); the barrier merges them by `(time_us, device_id)`.
-    pub(crate) events: Vec<TraceEvent>,
+    /// `requests[dest][round]`: the offloaded requests bound for region
+    /// `dest` that the per-request tier deferred to its barrier replay,
+    /// one bucket per period round of the epoch ([`Epoch`]). The shard
+    /// step visits its devices in firing order and a periodic device fires
+    /// once per round, so every bucket is already sorted by the unique
+    /// `(arrival_us, device_id, stage)` key; a Poisson epoch is one round,
+    /// whose bucket the step sorts. That lets the region's microsim read
+    /// the buckets in place, round by round, instead of re-sorting them
+    /// ([`crate::RegionMicrosim::run_epoch`]). The fluid tier books every
+    /// offload at once and leaves them empty.
+    pub(crate) requests: Vec<Vec<Vec<OffloadRequest>>>,
+    /// Device-side trace events (empty when untraced), bucketed by round
+    /// the same way: under periodic arrivals the buckets, read in round
+    /// order, hold the events in `(time_us, device_id)` order. The barrier
+    /// merges them by that key.
+    pub(crate) events: Vec<Vec<TraceEvent>>,
     /// Shard-step work counters (zero when untraced).
     pub(crate) counters: PhaseCounters,
 }
 
-/// A shard's pending-event queue, keyed on `(time µs, local index)`.
-///
-/// Periodic arrivals admit the degenerate radix case: every live device
-/// keeps exactly one pending event and re-arms it exactly one period `P`
-/// later, so a ring sorted by the key stays sorted under pop-front /
-/// push-back. When `(t₀, l₀)` pops, every event still pending was armed
-/// by a pop at or before `(t₀, l₀)` (or is an initial offset `< P`), so
-/// its time is at most `t₀ + P`, and ties at exactly `t₀ + P` were armed
-/// in ascending local order — the re-armed `(t₀ + P, l₀)` always belongs
-/// at the back. Every heap op becomes an O(1) ring op on contiguous
-/// memory. Poisson re-arms by variable draws, so it keeps the heap.
-enum EventQueue {
-    Ring(VecDeque<(u64, u32)>),
-    Heap(BinaryHeap<Reverse<(u64, u32)>>),
+/// One epoch of the event clock, `[start_us, end_us)`, cut into period
+/// rounds `[k·round_us, (k + 1)·round_us)`. Under periodic arrivals every
+/// device fires exactly once per round, so one round's events, read in
+/// firing order, come out sorted by `(time, device id)`. Poisson arrivals
+/// have no period: their epoch is one round (`round_us` is `u64::MAX`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Epoch {
+    pub(crate) start_us: u64,
+    pub(crate) end_us: u64,
+    round_us: u64,
 }
 
-impl EventQueue {
-    fn new(arrival: &ArrivalModel, seeds: Vec<(u64, u32)>) -> Self {
-        match arrival {
-            ArrivalModel::Periodic { .. } => {
-                debug_assert!(seeds.is_sorted(), "periodic shards store firing order");
-                EventQueue::Ring(VecDeque::from(seeds))
-            }
-            ArrivalModel::Poisson { .. } => {
-                EventQueue::Heap(seeds.into_iter().map(Reverse).collect())
-            }
-        }
+impl Epoch {
+    /// How many rounds the epoch touches; the first and the last may be
+    /// partial.
+    pub(crate) fn rounds(self) -> usize {
+        ((self.end_us - 1) / self.round_us - self.start_us / self.round_us + 1) as usize
     }
 
-    /// Pops the earliest pending event strictly before `bound`, if any.
-    #[inline]
-    fn pop_before(&mut self, bound: u64) -> Option<(u64, u32)> {
-        match self {
-            EventQueue::Ring(ring) => match ring.front() {
-                Some(&key) if key.0 < bound => ring.pop_front(),
-                _ => None,
-            },
-            EventQueue::Heap(heap) => match heap.peek() {
-                Some(&Reverse(key)) if key.0 < bound => {
-                    heap.pop();
-                    Some(key)
-                }
-                _ => None,
-            },
-        }
+    /// The round of an instant inside the epoch.
+    fn round_of(self, time_us: u64) -> usize {
+        (time_us / self.round_us - self.start_us / self.round_us) as usize
     }
 
-    /// Schedules `key`. Ring pushes must respect the sort invariant —
-    /// guaranteed by the fixed re-arm period, asserted in debug builds.
-    #[inline]
-    fn push(&mut self, key: (u64, u32)) {
-        match self {
-            EventQueue::Ring(ring) => {
-                debug_assert!(ring.back().is_none_or(|&back| back < key));
-                ring.push_back(key);
-            }
-            EventQueue::Heap(heap) => heap.push(Reverse(key)),
-        }
+    /// Where round `round` ends: where the next one starts, or at the
+    /// epoch's end.
+    pub(crate) fn round_end_us(self, round: usize) -> u64 {
+        (self.start_us / self.round_us + round as u64 + 1)
+            .saturating_mul(self.round_us)
+            .min(self.end_us)
     }
 }
 
@@ -218,11 +206,16 @@ impl ArrivalStep {
         }
     }
 
+    /// The time and round of the device's next event after one at
+    /// `time_us` in `round`: a periodic device fires once per round, and a
+    /// Poisson epoch is one round.
     #[inline]
-    fn next(self, device: &mut Device) -> u64 {
+    fn next(self, device: &mut Device, time_us: u64, round: usize) -> (u64, usize) {
         match self {
-            ArrivalStep::Fixed(period_us) => period_us,
-            ArrivalStep::Poisson(mean_us) => device.draw_interarrival_us(mean_us),
+            ArrivalStep::Fixed(period_us) => (time_us + period_us, round + 1),
+            ArrivalStep::Poisson(mean_us) => {
+                (time_us + device.draw_interarrival_us(mean_us), round)
+            }
         }
     }
 }
@@ -330,8 +323,7 @@ impl FleetEngine {
             .unwrap_or(self.cumulative.len() - 1)
     }
 
-    /// Builds one device session, its first firing time (µs) for the
-    /// shard queue, and the start of its throughput trace, which the
+    /// Builds one device session, its first firing time (µs), and the start of its throughput trace, which the
     /// shard step advances one sample per epoch through the cohort's
     /// generator.
     fn build_device(&self, device_id: usize) -> (Device, u64, GaussMarkovState) {
@@ -372,7 +364,7 @@ impl FleetEngine {
 
     /// The device ids `lo..hi` in shard storage order: under periodic
     /// arrivals the order they first fire, by (phase offset, id); under
-    /// Poisson arrivals, whose heap follows no fixed order, id order.
+    /// Poisson arrivals, which follow no fixed order, id order.
     fn firing_order(&self, lo: usize, hi: usize) -> Vec<u64> {
         match self.scenario.arrival {
             ArrivalModel::Periodic { period } => {
@@ -511,25 +503,24 @@ impl FleetEngine {
             Vec::new()
         };
 
-        for epoch in 0..num_epochs {
-            let epoch_start = epoch as u64 * epoch_us;
-            let epoch_end = ((epoch + 1) as u64 * epoch_us).min(horizon_us);
+        for index in 0..num_epochs {
+            let epoch = self.epoch(index);
             for (region, s) in wait_series.iter_mut().zip(&signals) {
                 region.push(s.wait_low_ms);
             }
 
-            self.advance_epoch::<T>(&mut shard_states, &signals, epoch_end, S::ENABLED);
+            self.advance_epoch::<T>(&mut shard_states, &signals, epoch, S::ENABLED);
             merge_shard_trace::<S>(
                 sink,
                 &mut profile,
                 &mut shard_states,
-                epoch_end,
-                epoch as u64,
+                epoch.end_us,
+                index as u64,
             );
 
             // Barrier: each region's worker serves the shards' merged
-            // offloads (integer counts or key-sorted request runs, so the
-            // result is independent of the shard count), scales, then
+            // offloads (integer counts or key-sorted request buckets, so
+            // the result is independent of the shard count), scales, then
             // publishes next epoch's signal — strictly in that order, so
             // published waits and shed fractions price the post-scale
             // capacity. Regions are independent between the shard drain
@@ -541,9 +532,15 @@ impl FleetEngine {
             let shard_epochs: Vec<&ShardEpochOutput> =
                 shard_states.iter().map(|state| &state.epoch).collect();
             let mut outputs = run_barrier(&mut workers, parallel, |region, worker| {
-                worker.barrier(region, &shard_epochs, epoch_start, epoch_end, S::ENABLED)
+                worker.barrier(region, &shard_epochs, epoch, S::ENABLED)
             });
-            flush_barrier_outputs::<S>(sink, &mut profile, &mut outputs, epoch_end, epoch as u64);
+            flush_barrier_outputs::<S>(
+                sink,
+                &mut profile,
+                &mut outputs,
+                epoch.end_us,
+                index as u64,
+            );
             for (signal, output) in signals.iter_mut().zip(&outputs) {
                 *signal = output.signal;
             }
@@ -567,8 +564,8 @@ impl FleetEngine {
                     &mut metrics,
                     &mut curve_telemetry,
                     self.scenario.workload(),
-                    epoch_start,
-                    epoch_end,
+                    epoch.start_us,
+                    epoch.end_us,
                 );
             }
         }
@@ -595,7 +592,7 @@ impl FleetEngine {
 
         let mut report = FleetReport::empty(LATENCY_BIN_MS, ENERGY_BIN_MJ, NUM_BINS, &region_names);
         for state in &shard_states {
-            report.merge(&state.report);
+            report.merge(state.records.report());
         }
         let horizon_ms = horizon_us as f64 / 1000.0;
         let backend_reports = workers
@@ -619,6 +616,19 @@ impl FleetEngine {
         let horizon_us = to_us(self.scenario.horizon.get());
         let epoch_us = to_us(self.scenario.trace_interval.get());
         (horizon_us, epoch_us, horizon_us.div_ceil(epoch_us) as usize)
+    }
+
+    /// Epoch `index` of the run's clock, with the arrival period's rounds.
+    fn epoch(&self, index: usize) -> Epoch {
+        let (horizon_us, epoch_us, _) = self.clock();
+        Epoch {
+            start_us: index as u64 * epoch_us,
+            end_us: ((index + 1) as u64 * epoch_us).min(horizon_us),
+            round_us: match self.scenario.arrival {
+                ArrivalModel::Periodic { period } => to_us(period.get()),
+                ArrivalModel::Poisson { .. } => u64::MAX,
+            },
+        }
     }
 
     /// Registers the per-region timelines sampled at every barrier, in
@@ -677,19 +687,18 @@ impl FleetEngine {
         })
     }
 
-    /// Phase A: every shard advances its event queue to the barrier in
-    /// parallel, filling its reusable epoch scratch in place and booking
-    /// its offloads through the tier `T`. `trace` asks shards to also
-    /// emit device events and work counters.
+    /// Phase A: every shard serves its devices' events of `epoch` in
+    /// parallel, one device at a time, filling its reusable epoch scratch
+    /// in place and booking its offloads through the tier `T`. `trace`
+    /// asks shards to also emit device events and work counters.
     fn advance_epoch<T: RegionTier>(
         &self,
         shard_states: &mut [ShardState],
         signals: &[RegionSignal],
-        epoch_end: u64,
+        epoch: Epoch,
         trace: bool,
     ) {
         let scenario = &self.scenario;
-        let horizon_us = to_us(scenario.horizon.get());
         let step = ArrivalStep::of(&scenario.arrival);
         // Loop-invariant serve context and cloud charge, built once per
         // epoch instead of once per event.
@@ -709,16 +718,7 @@ impl FleetEngine {
             },
         };
         let advance = |state: &mut ShardState| {
-            advance_shard::<T>(
-                state,
-                &self.cohorts,
-                ctx,
-                &charge,
-                epoch_end,
-                horizon_us,
-                step,
-                trace,
-            );
+            advance_shard::<T>(state, &self.cohorts, ctx, &charge, epoch, step, trace);
         };
         if let [state] = shard_states {
             // Single shard: skip the per-epoch spawn/join round trip.
@@ -756,25 +756,25 @@ impl FleetEngine {
                         let ids = self.firing_order(lo, hi);
                         let n = ids.len();
                         let mut devices = Vec::with_capacity(n);
-                        let mut seeds = Vec::with_capacity(n);
+                        let mut next_us = Vec::with_capacity(n);
                         let mut traces = Vec::with_capacity(n);
-                        for (local, &id) in ids.iter().enumerate() {
+                        for &id in &ids {
                             let (device, first_event_us, trace) = self.build_device(id as usize);
-                            seeds.push((first_event_us, local as u32));
                             devices.push(device);
+                            next_us.push(first_event_us);
                             traces.push(trace);
                         }
                         ShardState {
                             devices,
-                            queue: EventQueue::new(&scenario.arrival, seeds),
+                            next_us,
                             traces,
                             row: Vec::with_capacity(n),
-                            report: FleetReport::empty(
+                            records: RunBuffer::new(FleetReport::empty(
                                 LATENCY_BIN_MS,
                                 ENERGY_BIN_MJ,
                                 NUM_BINS,
                                 region_names,
-                            ),
+                            )),
                             ids,
                             epoch: ShardEpochOutput {
                                 arrivals: vec![(0, 0); num_regions],
@@ -875,7 +875,9 @@ fn merge_shard_trace<S: Sink>(
     let mut events: Vec<TraceEvent> = Vec::new();
     for state in states.iter_mut() {
         counters.add(&state.epoch.counters);
-        events.append(&mut state.epoch.events);
+        for bucket in &mut state.epoch.events {
+            events.append(bucket);
+        }
     }
     events.sort_by_key(|e| e.merge_key());
     for event in events {
@@ -961,46 +963,60 @@ fn flush_barrier_outputs<S: Sink>(
     });
 }
 
-/// Advances one shard's event queue to `epoch_end`. It first draws the
-/// epoch's throughput sample of every device into the shard's row, then
-/// serves the epoch's events against it. Local serves are recorded in the
-/// shard's report; every offload goes to the tier `T` as one
+/// Advances one shard through `epoch`, one device at a time. It first
+/// draws the epoch's throughput sample of every device into the shard's
+/// row, then visits the devices in storage order and serves each one's
+/// events in the epoch before the next device's. Local serves go to the
+/// shard's run buffer; every offload goes to the tier `T` as one
 /// [`OffloadRequest`] bound for its *destination* region (a failed over
-/// request serves in the sibling), and `T` books it into the shard's
-/// epoch scratch.
-#[allow(clippy::too_many_arguments)]
+/// request serves in the sibling), with the period round it arrived in,
+/// and `T` books it into the run buffer or the shard's epoch scratch. The
+/// run buffer is flushed before the step returns, so the barrier never
+/// sees a run pending.
 fn advance_shard<T: RegionTier>(
     state: &mut ShardState,
     cohorts: &[Cohort],
     ctx: ServeContext<'_>,
     charge: &CloudCharge<'_>,
-    epoch_end: u64,
-    horizon_us: u64,
+    epoch: Epoch,
     step: ArrivalStep,
     trace: bool,
 ) {
     let ShardState {
         devices,
-        queue,
+        next_us,
         traces,
         row,
-        report,
+        records,
         ids,
         epoch: output,
     } = state;
     debug_assert_eq!(output.arrivals.len(), charge.signals.len());
     output.arrivals.fill((0, 0));
-    for requests in &mut output.requests {
-        requests.clear();
+    let rounds = epoch.rounds();
+    // Only the tier that defers requests, and only a traced run, fill
+    // buckets; the others never touch theirs.
+    if T::PER_REQUEST {
+        for buckets in &mut output.requests {
+            if buckets.len() < rounds {
+                buckets.resize_with(rounds, Vec::new);
+            }
+            buckets.iter_mut().for_each(Vec::clear);
+        }
     }
-    output.events.clear();
+    if trace {
+        if output.events.len() < rounds {
+            output.events.resize_with(rounds, Vec::new);
+        }
+        output.events.iter_mut().for_each(Vec::clear);
+    }
     output.counters = PhaseCounters::default();
     // Every event in this epoch reads the same trace sample per device:
     // the sample index is `time_us / interval_us`, the interval *is* the
-    // epoch length, and the queue never holds an event before the
-    // current epoch. So each trace advances exactly once per epoch,
-    // whether or not its device fires, and the draws stay in the order
-    // a whole pre-generated trace would take them.
+    // epoch length, and no device has an event left before the current
+    // epoch. So each trace advances exactly once per epoch, whether or
+    // not its device fires, and the draws stay in the order a whole
+    // pre-generated trace would take them.
     row.clear();
     row.extend(
         traces
@@ -1012,53 +1028,60 @@ fn advance_shard<T: RegionTier>(
                     .next_sample(progress)
             }),
     );
-    while let Some((time, local)) = queue.pop_before(epoch_end) {
-        if trace {
-            output.counters.events_popped += 1;
-            output.counters.heap_ops += 1;
+    for (local, device) in devices.iter_mut().enumerate() {
+        let mut time = next_us[local];
+        if time >= epoch.end_us {
+            continue;
         }
-        let device = &mut devices[local as usize];
-        let device_id = ids[local as usize];
+        let device_id = ids[local];
         let cohort = &cohorts[device.cohort_index()];
-        let served =
-            device.serve_with_sample(cohort, ctx, charge.signals, time, row[local as usize]);
-        if trace {
-            crate::device::trace_serve_events(
-                &served,
-                device_id,
-                cohort.region_index as u64,
-                device.high_priority(),
-                time,
-                &mut output.events,
-            );
-        }
-        if served.offloaded {
-            let dest = served
-                .failover_region
-                .map_or(cohort.region_index, |r| r as usize);
-            let request = OffloadRequest {
-                arrival_us: time,
-                device_id,
-                stage: 1,
-                high_priority: device.high_priority(),
-                origin_region: cohort.region_index as u32,
-                failed_over: served.failover_region.is_some(),
-                base_latency_ms: served.latency_ms,
-                energy_mj: served.energy_mj,
-                switched: served.switched,
-            };
-            T::book(output, report, dest, request, charge);
-        } else {
-            report.record(cohort.region_index, &served);
-        }
-        let next = time + step.next(device);
-        if next < horizon_us {
-            queue.push((next, local));
+        let mut round = epoch.round_of(time);
+        while time < epoch.end_us {
             if trace {
-                output.counters.heap_ops += 1;
+                output.counters.events_popped += 1;
             }
+            let served = device.serve_with_sample(cohort, ctx, charge.signals, time, row[local]);
+            if trace {
+                crate::device::trace_serve_events(
+                    &served,
+                    device_id,
+                    cohort.region_index as u64,
+                    device.high_priority(),
+                    time,
+                    &mut output.events[round],
+                );
+            }
+            if served.offloaded {
+                let dest = served
+                    .failover_region
+                    .map_or(cohort.region_index, |r| r as usize);
+                let request = OffloadRequest {
+                    arrival_us: time,
+                    device_id,
+                    stage: 1,
+                    high_priority: device.high_priority(),
+                    origin_region: cohort.region_index as u32,
+                    failed_over: served.failover_region.is_some(),
+                    base_latency_ms: served.latency_ms,
+                    energy_mj: served.energy_mj,
+                    switched: served.switched,
+                };
+                T::book(output, records, dest, round, request, charge);
+            } else {
+                records.record(cohort.region_index, &served);
+            }
+            (time, round) = step.next(device, time, round);
+        }
+        next_us[local] = time;
+    }
+    if let ArrivalStep::Poisson(_) = step {
+        // Device order is not time order here; the key is unique, as no
+        // device fires twice in one µs.
+        for bucket in output.requests.iter_mut().filter_map(|b| b.first_mut()) {
+            bucket.sort_unstable_by_key(|r| (r.arrival_us, r.device_id));
         }
     }
+    records.flush();
 }
 
 #[cfg(test)]
@@ -1552,56 +1575,79 @@ mod tests {
     }
 
     #[test]
-    fn periodic_shard_pops_in_firing_order_and_id_ordered_heap_order() {
-        // 300 devices per shard over 1000 µs of phase: offsets collide
-        // (~45 shared pairs expected), so same-µs ties are exercised.
-        let period_us = 1_000u64;
-        let horizon_us = 6 * period_us;
-        let scenario = FleetScenario::builder()
-            .population(600)
-            .horizon(Millis::new(6.0))
-            .trace_interval(Millis::new(6.0))
-            .arrival(ArrivalModel::Periodic {
+    fn deferred_requests_are_key_ordered_bucket_by_bucket() {
+        // 600 all-cloud devices on two shards at one inference per ms:
+        // phase offsets collide (~45 shared pairs expected), so same-µs
+        // ties are exercised. The 2.5 ms epochs are not a multiple of the
+        // period, so rounds straddle epoch ends, and the 6 ms horizon cuts
+        // the last epoch short. Region 0 sheds half its offloads to its
+        // siblings, so buckets mix origins.
+        for arrival in [
+            ArrivalModel::Periodic {
                 period: Millis::new(1.0),
-            })
-            .shards(2)
-            .seed(11)
-            .build()
-            .unwrap();
-        let engine = FleetEngine::new(scenario).unwrap();
-        // The second shard, so local indices and device ids differ.
-        let mut shard = engine.build_shards().pop().unwrap();
-        let n = shard.devices.len();
-        let mut by_id = shard.ids.clone();
-        by_id.sort_unstable();
-        assert_eq!(by_id, (300..600).collect::<Vec<u64>>());
-
-        // The reference: a heap keyed on (time, device id), as if the
-        // devices were stored in id order.
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = by_id
-            .iter()
-            .map(|&id| Reverse((engine.periodic_offset_us(id as usize, period_us), id)))
-            .collect();
-        let mut popped_locals = Vec::new();
-        let mut ties = 0;
-        let mut last_time = None;
-        while let Some((time, local)) = shard.queue.pop_before(horizon_us) {
-            let Reverse((heap_time, heap_id)) = heap.pop().unwrap();
-            assert_eq!((time, shard.ids[local as usize]), (heap_time, heap_id));
-            ties += usize::from(last_time == Some(time));
-            last_time = Some(time);
-            popped_locals.push(local);
-            if time + period_us < horizon_us {
-                shard.queue.push((time + period_us, local));
-                heap.push(Reverse((heap_time + period_us, heap_id)));
+            },
+            ArrivalModel::Poisson {
+                mean_interarrival: Millis::new(1.0),
+            },
+        ] {
+            let periodic = matches!(arrival, ArrivalModel::Periodic { .. });
+            let scenario = FleetScenario::builder()
+                .population(600)
+                .horizon(Millis::new(6.0))
+                .trace_interval(Millis::new(2.5))
+                .arrival(arrival)
+                .policy(FleetPolicy::Fixed(DeploymentKind::AllCloud))
+                .serving(
+                    CloudServing::single(4, 10.0)
+                        .with_failover(FailoverPolicy::SiblingRegion { penalty_ms: 60.0 }),
+                )
+                .fidelity(CloudSimFidelity::PerRequest)
+                .shards(2)
+                .seed(11)
+                .build()
+                .unwrap();
+            let engine = FleetEngine::new(scenario).unwrap();
+            let mut signals = vec![RegionSignal::default(); engine.scenario().regions.len()];
+            signals[0].shed_fraction = 0.5;
+            let mut shards = engine.build_shards();
+            let (mut events, mut deferred, mut ties, mut failovers) = (0, 0, 0, 0);
+            let epochs: Vec<Epoch> = (0..engine.clock().2).map(|e| engine.epoch(e)).collect();
+            let rounds: Vec<usize> = epochs.iter().map(|e| e.rounds()).collect();
+            assert_eq!(rounds, if periodic { [3, 3, 1] } else { [1, 1, 1] });
+            for (index, &epoch) in epochs.iter().enumerate() {
+                engine.advance_epoch::<PerRequestRegionReplay>(&mut shards, &signals, epoch, true);
+                for shard in &shards {
+                    events += shard.epoch.counters.events_popped;
+                    for (dest, buckets) in shard.epoch.requests.iter().enumerate() {
+                        let mut last = None;
+                        let mut round_start = epoch.start_us;
+                        for (round, bucket) in buckets[..epoch.rounds()].iter().enumerate() {
+                            let round_end = epoch.round_end_us(round);
+                            for request in bucket {
+                                let key = (request.arrival_us, request.device_id);
+                                assert!(
+                                    last < Some(key),
+                                    "{arrival:?}: {key:?} after {last:?} in epoch {index}"
+                                );
+                                assert!((round_start..round_end).contains(&key.0));
+                                ties += usize::from(last.is_some_and(|l| l.0 == key.0));
+                                failovers += usize::from(request.origin_region as usize != dest);
+                                last = Some(key);
+                                deferred += 1;
+                            }
+                            round_start = round_end;
+                        }
+                        assert_eq!(round_start, epoch.end_us);
+                    }
+                }
             }
-        }
-        assert!(heap.is_empty());
-        assert!(ties > 0, "no two devices shared an offset");
-        assert_eq!(popped_locals.len(), 6 * n);
-        // Every period walks the storage front to back.
-        for period in popped_locals.chunks(n) {
-            assert!(period.iter().copied().eq(0..n as u32));
+            // Every event offloads, to its own region or a sibling.
+            assert_eq!(deferred, events, "{arrival:?}");
+            if periodic {
+                assert_eq!(events, 600 * 6);
+                assert!(ties > 0, "no two devices shared an offset");
+            }
+            assert!(failovers > 0, "{arrival:?}: no request failed over");
         }
     }
 
@@ -1651,16 +1697,17 @@ mod tests {
             let signals = vec![RegionSignal::default(); scenario.regions.len()];
             let mut shards = engine.build_shards();
             assert_eq!(shards.len(), 2);
-            let epoch_ends = (1..=num_epochs as u64).map(|e| (e * epoch_us).min(horizon_us));
-            for (epoch, epoch_end) in epoch_ends.enumerate() {
-                engine.advance_epoch::<FluidRegionReplay>(&mut shards, &signals, epoch_end, false);
+            for (index, epoch) in (0..num_epochs).map(|e| engine.epoch(e)).enumerate() {
+                engine.advance_epoch::<FluidRegionReplay>(&mut shards, &signals, epoch, false);
                 for shard in &shards {
+                    // The step served every event before the epoch's end.
+                    assert!(shard.next_us.iter().all(|&next| next >= epoch.end_us));
                     assert_eq!(shard.row.len(), shard.ids.len());
                     for (sample, &id) in shard.row.iter().zip(&shard.ids) {
                         assert_eq!(
                             sample.get().to_bits(),
-                            expected[id as usize][epoch].get().to_bits(),
-                            "{arrival:?}: device {id}, epoch {epoch}"
+                            expected[id as usize][index].get().to_bits(),
+                            "{arrival:?}: device {id}, epoch {index}"
                         );
                     }
                 }

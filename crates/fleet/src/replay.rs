@@ -28,12 +28,14 @@
 //! * Each worker reads only shared **immutable** shard outputs (offload
 //!   counts / request runs) and mutates only region-local state, so the
 //!   interleaving of workers cannot influence any result.
-//! * Each region's microsim reads the shards' request runs in place.
-//!   Every run is already sorted by the shard-count-invariant
-//!   `(arrival_us, device_id, stage)` key, and the microsim's event loop
-//!   always takes the least head among them
-//!   ([`RegionMicrosim::run_epoch`]), serving the exact total order a
-//!   global sort would produce. Staged pipelines keep the discipline:
+//! * Each region's microsim reads the shards' request buckets in place,
+//!   one period round at a time. Every bucket is already sorted by the
+//!   shard-count-invariant `(arrival_us, device_id, stage)` key and holds
+//!   only its round's arrivals, and the microsim's event loop always
+//!   takes the least head among the round's buckets
+//!   ([`RegionMicrosim::run_epoch`]) and stops where the next round
+//!   starts, serving the exact total order a global sort would produce.
+//!   Staged pipelines keep the discipline:
 //!   the microsim chains each stage from a completion of that
 //!   shard-invariant replay and serves it in the same key order,
 //!   same-key ties in push order.
@@ -47,9 +49,9 @@ use crate::cloud::{
     CloudServing, CompletedRequest, OffloadRequest, RegionMicrosim, RegionServing, RegionSignal,
 };
 use crate::device::Served;
-use crate::engine::ShardEpochOutput;
+use crate::engine::{Epoch, ShardEpochOutput};
 use crate::pipeline::PipelinePricing;
-use crate::report::{BackendReport, FleetReport};
+use crate::report::{BackendReport, FleetReport, RunBuffer};
 use crate::scenario::ReplayMode;
 use lens_telemetry::{PhaseCounters, PhaseProbe, TraceEvent};
 
@@ -130,27 +132,28 @@ pub(crate) trait RegionTier: Send {
     /// and record their post-horizon flush as a final drain phase.
     const PER_REQUEST: bool;
 
-    /// Books one offload bound for region `dest` during the shard step.
-    /// `request` carries only the device's share of the latency; the
-    /// tier adds the cloud's, either at once into the shard's `report`
-    /// or later, when the barrier replays the request.
+    /// Books one offload bound for region `dest` during the shard step;
+    /// it arrived in period round `round` of the epoch. `request` carries
+    /// only the device's share of the latency; the tier adds the cloud's,
+    /// either at once, recording through the shard's run buffer
+    /// `records`, or later, when the barrier replays the request.
     fn book(
         output: &mut ShardEpochOutput,
-        report: &mut FleetReport,
+        records: &mut RunBuffer,
         dest: usize,
+        round: usize,
         request: OffloadRequest,
         charge: &CloudCharge<'_>,
     );
 
-    /// One epoch barrier for `region` over `[epoch_start, epoch_end)` µs:
-    /// serve the shards' offloads, scale, publish — buffering per-phase
-    /// telemetry when `traced` instead of writing to a shared sink.
+    /// One epoch barrier for `region`: serve the shards' offloads of
+    /// `epoch`, scale, publish — buffering per-phase telemetry when
+    /// `traced` instead of writing to a shared sink.
     fn barrier(
         &mut self,
         region: usize,
         shards: &[&ShardEpochOutput],
-        epoch_start: u64,
-        epoch_end: u64,
+        epoch: Epoch,
         traced: bool,
     ) -> RegionBarrierOutput;
 
@@ -199,8 +202,9 @@ impl RegionTier for FluidRegionReplay {
     /// destination's arrivals.
     fn book(
         output: &mut ShardEpochOutput,
-        report: &mut FleetReport,
+        records: &mut RunBuffer,
         dest: usize,
+        _round: usize,
         request: OffloadRequest,
         charge: &CloudCharge<'_>,
     ) {
@@ -210,7 +214,8 @@ impl RegionTier for FluidRegionReplay {
         } else {
             wait_ms
         };
-        record_offload(report, dest, &request, request.base_latency_ms + cloud_ms);
+        let served = offload_outcome(dest, &request, request.base_latency_ms + cloud_ms);
+        records.record(request.origin_region as usize, &served);
         let slot = &mut output.arrivals[dest];
         if request.high_priority {
             slot.0 += 1;
@@ -225,11 +230,11 @@ impl RegionTier for FluidRegionReplay {
         &mut self,
         region: usize,
         shards: &[&ShardEpochOutput],
-        epoch_start: u64,
-        epoch_end: u64,
+        epoch: Epoch,
         traced: bool,
     ) -> RegionBarrierOutput {
-        let epoch_ms = (epoch_end - epoch_start) as f64 / 1000.0;
+        let epoch_end = epoch.end_us;
+        let epoch_ms = (epoch_end - epoch.start_us) as f64 / 1000.0;
         let (high, low) = shards
             .iter()
             .map(|shard| shard.arrivals[region])
@@ -334,8 +339,9 @@ impl RegionTier for PerRequestRegionReplay {
     /// the barrier, where the microsim supplies its exact sojourn.
     fn book(
         output: &mut ShardEpochOutput,
-        _report: &mut FleetReport,
+        _records: &mut RunBuffer,
         dest: usize,
+        round: usize,
         request: OffloadRequest,
         charge: &CloudCharge<'_>,
     ) {
@@ -344,39 +350,55 @@ impl RegionTier for PerRequestRegionReplay {
         } else {
             request.base_latency_ms
         };
-        output.requests[dest].push(OffloadRequest {
+        output.requests[dest][round].push(OffloadRequest {
             base_latency_ms,
             ..request
         });
     }
 
-    /// Replays the shards' request runs through the microsim — which
-    /// reads them in place in key order and chains staged pipelines' next
-    /// stages as its own arrivals — booking each completion as its batch
-    /// closes, then scales and publishes the (hysteresis-held) tail
-    /// signal.
+    /// Replays the shards' request buckets through the microsim, one
+    /// period round at a time — it reads each round's buckets in place in
+    /// key order, runs to the next round's start, and chains staged
+    /// pipelines' next stages as its own arrivals — booking each
+    /// completion as its batch closes, then scales and publishes the
+    /// (hysteresis-held) tail signal. Cutting the epoch at round
+    /// boundaries serves the same events in the same order as one run to
+    /// the epoch's end: no round's arrival falls before an earlier round's
+    /// end.
     fn barrier(
         &mut self,
         region: usize,
         shards: &[&ShardEpochOutput],
-        epoch_start: u64,
-        epoch_end: u64,
+        epoch: Epoch,
         traced: bool,
     ) -> RegionBarrierOutput {
-        let runs: Vec<&[OffloadRequest]> = shards
-            .iter()
-            .map(|shard| shard.requests[region].as_slice())
-            .collect();
         let mut probe = PhaseProbe::new(traced);
-        probe.on_merged(runs.iter().map(|run| run.len() as u64).sum());
+        probe.on_merged(
+            shards
+                .iter()
+                .flat_map(|shard| &shard.requests[region])
+                .map(|bucket| bucket.len() as u64)
+                .sum(),
+        );
         self.serve(region, &mut probe, |sim, book, probe| {
-            sim.run_epoch(&runs, epoch_end, book, region as u64, probe);
+            let mut runs = Vec::with_capacity(shards.len());
+            for round in 0..epoch.rounds() {
+                runs.clear();
+                runs.extend(
+                    shards
+                        .iter()
+                        .map(|shard| shard.requests[region][round].as_slice()),
+                );
+                let end_us = epoch.round_end_us(round);
+                sim.run_epoch(&runs, end_us, book, region as u64, probe);
+            }
         });
+        let epoch_end = epoch.end_us;
         self.depth_series.push(self.sim.depth());
         let drain = probe.take();
         self.sim.scale(
             epoch_end,
-            epoch_end - epoch_start,
+            epoch_end - epoch.start_us,
             region as u64,
             &mut probe,
         );
@@ -449,24 +471,20 @@ fn book_completion(
         }
     }
     let latency_ms = c.request.base_latency_ms + c.sojourn_ms;
-    record_offload(report, region, &c.request, latency_ms);
+    let served = offload_outcome(region, &c.request, latency_ms);
+    report.record(c.request.origin_region as usize, &served);
     None
 }
 
-/// Records one finished offload under its origin region: `latency_ms`
-/// is the device's share plus everything the tier charged, and
-/// `serving_region` is where it was served. For staged per-request
-/// pipelines `base_latency_ms` has already absorbed every earlier
-/// stage's sojourn and transfer, so the terminal completion's sojourn is
-/// the last term. The sojourn histograms are not touched: the microsim
-/// records each completion once.
-fn record_offload(
-    report: &mut FleetReport,
-    serving_region: usize,
-    request: &OffloadRequest,
-    latency_ms: f64,
-) {
-    let served = Served {
+/// The record of one finished offload, which goes under its origin
+/// region: `latency_ms` is the device's share plus everything the tier
+/// charged, and `serving_region` is where it was served. For staged
+/// per-request pipelines `base_latency_ms` has already absorbed every
+/// earlier stage's sojourn and transfer, so the terminal completion's
+/// sojourn is the last term. The sojourn histograms are not touched: the
+/// microsim records each completion once.
+fn offload_outcome(serving_region: usize, request: &OffloadRequest, latency_ms: f64) -> Served {
+    Served {
         latency_ms,
         energy_mj: request.energy_mj,
         offloaded: true,
@@ -476,8 +494,7 @@ fn record_offload(
         // Retreats resolve device-side, before the request ever reaches
         // the tier — an offload never retreated.
         retreated: false,
-    };
-    report.record(request.origin_region as usize, &served);
+    }
 }
 
 #[cfg(test)]
@@ -533,17 +550,18 @@ mod tests {
         let names: Vec<String> = (0..regions).map(|r| format!("r{r}")).collect();
         let mut output = ShardEpochOutput {
             arrivals: vec![(0, 0); regions],
-            requests: vec![Vec::new(); regions],
+            requests: vec![vec![Vec::new()]; regions],
             events: Vec::new(),
             counters: Default::default(),
         };
-        let mut report = FleetReport::empty(10.0, 5.0, 100, &names);
+        let mut records = RunBuffer::new(FleetReport::empty(10.0, 5.0, 100, &names));
         let charge = CloudCharge {
             signals,
             penalty_ms: 40.0,
         };
-        T::book(&mut output, &mut report, dest, request, &charge);
-        (output, report)
+        T::book(&mut output, &mut records, dest, 0, request, &charge);
+        records.flush();
+        (output, records.report().clone())
     }
 
     /// The fluid tier's booking, with the one latency it recorded.
@@ -589,7 +607,7 @@ mod tests {
         let (latency, output, report) = fluid(base, 0, &[waiting(500.0)]);
         assert_eq!(latency, 70.0 + 500.0);
         assert_eq!(output.arrivals, [(0, 1)]);
-        assert!(output.requests.iter().all(Vec::is_empty));
+        assert!(output.requests.iter().flatten().all(Vec::is_empty));
         assert_eq!(report.offloaded(), 1);
         assert!(report.stage_completions().is_empty());
         // A high-priority request reads its own class's wait.
@@ -636,12 +654,12 @@ mod tests {
             base_latency_ms: 70.0 + 40.0,
             ..failed_over
         };
-        assert_eq!(output.requests, [vec![], vec![], vec![charged]]);
+        assert_eq!(output.requests, [[vec![]], [vec![]], [vec![charged]]]);
         assert_eq!(output.arrivals, [(0, 0); 3]);
         assert_eq!(report.inferences(), 0);
         // Without a failover the request is deferred unchanged.
         let (output, _) = book::<PerRequestRegionReplay>(base, 0, &signals);
-        assert_eq!(output.requests, [vec![base], vec![], vec![]]);
+        assert_eq!(output.requests, [[vec![base]], [vec![]], [vec![]]]);
     }
 
     /// `device`'s completions, in completion order.

@@ -16,6 +16,7 @@
 //! saturating cast, so recording calls no software `floor`, `round` or
 //! `f64 → i128` routine for any finite value below 2^52 micro-units.
 
+use crate::device::Served;
 use std::fmt;
 
 /// Fixed-point scale for value sums: micro-units (1e-6 of the recorded
@@ -49,6 +50,21 @@ fn round_half_away(x: f64) -> i128 {
         // range (and maps NaN to 0), so even pathological inputs cannot
         // wrap the accumulator.
         x.round() as i128
+    }
+}
+
+/// `sum` plus `n` copies of `value`, each added with `saturating_add`:
+/// exactly what `n` single records leave. Every addend has the sign of
+/// `value`, so the running sum moves one way and stops at the bound it
+/// reaches, and the result is the exact `sum + n·value` clamped to the
+/// `i128` range.
+fn saturating_add_n(sum: i128, value: i128, n: u64) -> i128 {
+    // A product past `u128` is past any distance to either bound.
+    match (value >= 0, value.unsigned_abs().checked_mul(u128::from(n))) {
+        (true, Some(total)) => sum.saturating_add_unsigned(total),
+        (false, Some(total)) => sum.saturating_sub_unsigned(total),
+        (true, None) => i128::MAX,
+        (false, None) => i128::MIN,
     }
 }
 
@@ -151,7 +167,8 @@ impl Histogram {
     }
 
     /// Records `n ≥ 1` observations of `value`, whose micro-unit form the
-    /// caller already holds (`value_fp == to_fp(value)`).
+    /// caller already holds (`value_fp == to_fp(value)`): bit for bit what
+    /// `n` single records leave, saturated counts and sum included.
     fn record_fp(&mut self, value: f64, value_fp: i128, n: u64) {
         match self.bin_of(value) {
             Some(idx) => {
@@ -161,12 +178,7 @@ impl Histogram {
             None => self.overflow = self.overflow.saturating_add(n),
         }
         self.count = self.count.saturating_add(n);
-        let added = if n == 1 {
-            value_fp
-        } else {
-            value_fp.saturating_mul(i128::from(n))
-        };
-        self.sum_fp = self.sum_fp.saturating_add(added);
+        self.sum_fp = saturating_add_n(self.sum_fp, value_fp, n);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -588,30 +600,39 @@ impl FleetReport {
         self.transfer_ms_fp = self.transfer_ms_fp.saturating_add(to_fp(ms));
     }
 
-    pub(crate) fn record(&mut self, region_index: usize, served: &crate::device::Served) {
+    /// Records one inference of a device in region `region_index`.
+    pub(crate) fn record(&mut self, region_index: usize, served: &Served) {
+        self.record_n(region_index, served, 1);
+    }
+
+    /// Records `n ≥ 1` inferences with one outcome: exactly what `n` calls
+    /// of [`record`](FleetReport::record) leave. Counts, fixed-point sums
+    /// and region counters all scale by `n`.
+    pub(crate) fn record_n(&mut self, region_index: usize, served: &Served, n: u64) {
+        debug_assert!(n > 0, "a run records at least one inference");
         let latency_fp = to_fp(served.latency_ms);
         let energy_fp = to_fp(served.energy_mj);
-        self.latency.record_fp(served.latency_ms, latency_fp, 1);
-        self.energy.record_fp(served.energy_mj, energy_fp, 1);
+        self.latency.record_fp(served.latency_ms, latency_fp, n);
+        self.energy.record_fp(served.energy_mj, energy_fp, n);
         let region = &mut self.per_region[region_index];
-        region.inferences += 1;
-        region.latency_sum_fp = region.latency_sum_fp.saturating_add(latency_fp);
-        region.energy_sum_fp = region.energy_sum_fp.saturating_add(energy_fp);
+        region.inferences += n;
+        region.latency_sum_fp = saturating_add_n(region.latency_sum_fp, latency_fp, n);
+        region.energy_sum_fp = saturating_add_n(region.energy_sum_fp, energy_fp, n);
         if served.offloaded {
-            region.offloaded += 1;
+            region.offloaded += n;
         }
         if served.switched {
-            region.switches += 1;
+            region.switches += n;
         }
         if served.shed_to_local {
-            region.shed_to_local += 1;
+            region.shed_to_local += n;
         }
         if served.retreated {
-            region.retreated += 1;
+            region.retreated += n;
         }
         if let Some(dest) = served.failover_region {
-            region.failed_over += 1;
-            self.per_region[dest as usize].failover_in += 1;
+            region.failed_over += n;
+            self.per_region[dest as usize].failover_in += n;
         }
     }
 
@@ -893,6 +914,66 @@ impl FleetReport {
     }
 }
 
+/// A [`FleetReport`] behind a one-entry run buffer, which the shard step
+/// records through. Consecutive outcomes that record identically — the
+/// same region, the same latency and energy bits, the same flags and the
+/// same failover destination — join one pending run, which lands in the
+/// report as one [`FleetReport::record_n`] when a different outcome
+/// arrives or the buffer is flushed. Within an epoch a device reads one
+/// throughput sample and one set of published signals, so its inferences
+/// mostly repeat one outcome.
+#[derive(Debug)]
+pub(crate) struct RunBuffer {
+    report: FleetReport,
+    /// The pending run: its region, its outcome and its length.
+    run: Option<(usize, Served, u64)>,
+}
+
+impl RunBuffer {
+    pub(crate) fn new(report: FleetReport) -> Self {
+        RunBuffer { report, run: None }
+    }
+
+    /// Records one inference of a device in region `region_index`.
+    #[inline]
+    pub(crate) fn record(&mut self, region_index: usize, served: &Served) {
+        if let Some((region, pending, n)) = &mut self.run {
+            if *region == region_index && records_alike(pending, served) {
+                *n += 1;
+                return;
+            }
+        }
+        self.flush();
+        self.run = Some((region_index, *served, 1));
+    }
+
+    /// Records the pending run, if any, into the report.
+    pub(crate) fn flush(&mut self) {
+        if let Some((region, served, n)) = self.run.take() {
+            self.report.record_n(region, &served, n);
+        }
+    }
+
+    /// The report, which no pending run may be missing from.
+    pub(crate) fn report(&self) -> &FleetReport {
+        debug_assert!(self.run.is_none(), "read with a run still pending");
+        &self.report
+    }
+}
+
+/// Whether two outcomes record identically. Latency and energy compare by
+/// bits: `0.0` and `-0.0` are equal floats, but may leave different minima
+/// and maxima.
+fn records_alike(a: &Served, b: &Served) -> bool {
+    a.latency_ms.to_bits() == b.latency_ms.to_bits()
+        && a.energy_mj.to_bits() == b.energy_mj.to_bits()
+        && a.offloaded == b.offloaded
+        && a.switched == b.switched
+        && a.shed_to_local == b.shed_to_local
+        && a.failover_region == b.failover_region
+        && a.retreated == b.retreated
+}
+
 impl fmt::Display for FleetReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -992,7 +1073,6 @@ impl fmt::Display for FleetReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::Served;
     use proptest::prelude::*;
 
     fn served(latency_ms: f64, energy_mj: f64, offloaded: bool, switched: bool) -> Served {
@@ -1497,6 +1577,95 @@ mod tests {
         assert_eq!(to_fp(-0.0), 0);
         assert_eq!(to_fp(f64::MIN), i128::MIN);
         assert_eq!(to_fp(f64::NAN), 0);
+    }
+
+    /// One outcome of each kind the shard step records, in region 0 of
+    /// two: local, offloaded, switched, shed, retreated and failed over.
+    fn outcomes() -> Vec<Served> {
+        let local = served(31.25, 7.5, false, false);
+        vec![
+            local,
+            served(0.1, 1e-7, true, false),
+            served(12.345_678_5, 3.0, false, true),
+            Served {
+                shed_to_local: true,
+                ..local
+            },
+            Served {
+                retreated: true,
+                ..local
+            },
+            Served {
+                failover_region: Some(1),
+                ..served(40.0, 3.0, true, false)
+            },
+        ]
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        let regions = vec!["A".to_string(), "B".to_string()];
+        for outcome in outcomes() {
+            for n in [1, 2, 7] {
+                let mut once = FleetReport::empty(1.0, 1.0, 100, &regions);
+                once.record_n(0, &outcome, n);
+                let mut each = FleetReport::empty(1.0, 1.0, 100, &regions);
+                for _ in 0..n {
+                    each.record(0, &outcome);
+                }
+                assert_eq!(once, each, "{outcome:?} × {n}");
+                assert_eq!(once.digest(), each.digest(), "{outcome:?} × {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn record_n_saturates_sums_exactly_as_single_records_do() {
+        let large = [i128::MAX / 3, i128::MIN / 3, i128::MAX, i128::MIN];
+        let starts = [0, i128::MAX - 10, i128::MIN + 10, i128::MAX, i128::MIN];
+        for start in starts {
+            for value in large.into_iter().chain([-1, 0, 5]) {
+                for n in [1u64, 2, 3, 7] {
+                    let each = (0..n).fold(start, |sum, _| sum.saturating_add(value));
+                    assert_eq!(
+                        saturating_add_n(start, value, n),
+                        each,
+                        "{start} + {n} × {value}"
+                    );
+                }
+            }
+            // The longest run of a large value reaches its bound.
+            for value in large {
+                let bound = if value > 0 { i128::MAX } else { i128::MIN };
+                assert_eq!(saturating_add_n(start, value, u64::MAX), bound);
+            }
+        }
+    }
+
+    #[test]
+    fn run_buffer_records_what_single_records_do() {
+        let regions = vec!["A".to_string(), "B".to_string()];
+        // Runs of every outcome kind, runs that differ only in region, in
+        // the sign of a zero latency or in one flag, and lone records.
+        let mut sequence = Vec::new();
+        for (k, outcome) in outcomes().into_iter().enumerate() {
+            for region in [0, 1] {
+                sequence.extend(std::iter::repeat_n((region, outcome), k + 1));
+            }
+        }
+        let zero = served(0.0, 1.0, false, false);
+        let negative_zero = served(-0.0, 1.0, false, false);
+        sequence.extend([(0, zero), (0, negative_zero), (0, zero), (0, zero)]);
+        let mut buffer = RunBuffer::new(FleetReport::empty(1.0, 1.0, 100, &regions));
+        let mut each = FleetReport::empty(1.0, 1.0, 100, &regions);
+        for (region, outcome) in &sequence {
+            buffer.record(*region, outcome);
+            each.record(*region, outcome);
+        }
+        buffer.flush();
+        assert_eq!(buffer.report(), &each);
+        assert_eq!(buffer.report().digest(), each.digest());
+        assert_eq!(each.inferences(), sequence.len() as u64);
     }
 
     #[test]

@@ -114,10 +114,10 @@ fn batched_multi_backend_report_is_bit_identical_across_1_2_4_shards() {
 #[test]
 fn per_request_batched_report_is_bit_identical_across_1_2_4_shards() {
     // Extends the 1/2/4 pinning to the per-request microsimulation: the
-    // barrier merges every region's offloads from all shards and sorts
-    // them by the shard-count-invariant (arrival µs, device id) key
-    // before replaying the epoch, so the cloud schedule — and with it the
-    // exact per-request tail histograms — cannot depend on sharding.
+    // barrier serves every region's offloads from all shards in the
+    // shard-count-invariant (arrival µs, device id) key order, so the
+    // cloud schedule — and with it the exact per-request tail histograms
+    // — cannot depend on sharding.
     let per_request = |shards: usize| {
         FleetEngine::new(batched_scenario_at(shards, CloudSimFidelity::PerRequest))
             .expect("engine builds")
@@ -141,10 +141,47 @@ fn per_request_batched_report_is_bit_identical_across_1_2_4_shards() {
 }
 
 #[test]
+fn per_request_period_rounds_are_bit_identical_across_shards_and_replay_modes() {
+    // A 5 s period cuts each 60 s epoch into twelve rounds, and the 330 s
+    // horizon leaves a last epoch of six. The barrier serves the shards'
+    // request buckets round by round, so the round cut must keep the
+    // report independent of the shard count and the replay mode.
+    let run = |shards: usize, replay: ReplayMode| {
+        let scenario = batched_builder(shards, CloudSimFidelity::PerRequest)
+            .population(1500)
+            .horizon(Millis::new(330_000.0))
+            .arrival(ArrivalModel::Periodic {
+                period: Millis::new(5_000.0),
+            })
+            .replay(replay)
+            .build()
+            .expect("valid scenario");
+        FleetEngine::new(scenario)
+            .expect("engine builds")
+            .run()
+            .expect("run succeeds")
+    };
+    let one = run(1, ReplayMode::Sequential);
+    for (shards, replay) in [
+        (2, ReplayMode::Sequential),
+        (4, ReplayMode::Sequential),
+        (1, ReplayMode::Parallel),
+        (4, ReplayMode::Parallel),
+    ] {
+        let other = run(shards, replay);
+        assert_eq!(one, other, "differs at {shards} shards, {replay:?}");
+        assert_eq!(one.digest(), other.digest());
+    }
+    assert_eq!(one.inferences(), 1500 * 66);
+    assert!(one.failed_over() > 0, "failovers fill siblings' buckets");
+}
+
+#[test]
 fn poisson_report_is_bit_identical_across_shards_and_replay_modes() {
-    // Poisson arrivals keep each shard in id order behind an event heap,
-    // while periodic shards are stored in firing order: pin the Poisson
-    // side of the shard build too, in both fidelities.
+    // Poisson shards keep id order and sort each epoch's deferred
+    // requests, while periodic shards are stored in firing order and
+    // bucket them by period round: pin the Poisson side of the shard step
+    // too, in both fidelities.
     for fidelity in [CloudSimFidelity::Fluid, CloudSimFidelity::PerRequest] {
         let run = |shards: usize, replay: ReplayMode| {
             let scenario = batched_builder(shards, fidelity)
@@ -681,47 +718,31 @@ type Work = (u64, u64, u64, u64);
 const GOLDEN_WORK: [(&str, [Work; 3]); 7] = [
     (
         "fluid_single",
-        [(47260, 93020, 0, 0), (0, 0, 0, 15120), (0, 0, 0, 0)],
+        [(47260, 0, 0, 0), (0, 0, 0, 15120), (0, 0, 0, 0)],
     ),
     (
         "fluid_batched",
-        [(47260, 93020, 0, 0), (0, 0, 0, 2196), (0, 0, 0, 0)],
+        [(47260, 0, 0, 0), (0, 0, 0, 2196), (0, 0, 0, 0)],
     ),
     (
         "fluid_autoscaled",
-        [(47260, 93020, 0, 0), (0, 0, 0, 8440), (0, 0, 0, 0)],
+        [(47260, 0, 0, 0), (0, 0, 0, 8440), (0, 0, 0, 0)],
     ),
     (
         "per_request_batched",
-        [
-            (47260, 93020, 0, 0),
-            (2204, 4408, 32448, 2198),
-            (0, 0, 0, 0),
-        ],
+        [(47260, 0, 0, 0), (2204, 4408, 32448, 2198), (0, 0, 0, 0)],
     ),
     (
         "per_request_pipeline",
-        [
-            (47260, 93020, 0, 0),
-            (40334, 80668, 18326, 3676),
-            (0, 0, 0, 0),
-        ],
+        [(47260, 0, 0, 0), (40334, 80668, 18326, 3676), (0, 0, 0, 0)],
     ),
     (
         "per_request_poisson_autoscaled",
-        [
-            (47431, 93362, 0, 0),
-            (10862, 21712, 44697, 7249),
-            (0, 12, 0, 0),
-        ],
+        [(47431, 0, 0, 0), (10862, 21712, 44697, 7249), (0, 12, 0, 0)],
     ),
     (
         "per_request_closed_loop",
-        [
-            (47260, 93020, 0, 0),
-            (24239, 48463, 8745, 4505),
-            (0, 15, 0, 0),
-        ],
+        [(47260, 0, 0, 0), (24239, 48463, 8745, 4505), (0, 15, 0, 0)],
     ),
 ];
 
