@@ -323,9 +323,9 @@ impl FleetEngine {
             .unwrap_or(self.cumulative.len() - 1)
     }
 
-    /// Builds one device session, its first firing time (µs), and the start of its throughput trace, which the
-    /// shard step advances one sample per epoch through the cohort's
-    /// generator.
+    /// Builds one device session, its first firing time (µs), and the
+    /// start of its throughput trace, which the shard step advances one
+    /// sample per epoch through the cohort's generator.
     fn build_device(&self, device_id: usize) -> (Device, u64, GaussMarkovState) {
         let scenario = &self.scenario;
         let cohort_idx = self.cohort_of(device_id);

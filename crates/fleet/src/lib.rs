@@ -76,9 +76,10 @@
 //! # Sharding and the epoch barrier
 //!
 //! Devices are partitioned into contiguous shards, one `std::thread` worker
-//! per shard, each advancing its own event heap. Shards only interact
-//! through the cloud, and the cloud is synchronized at **epoch** boundaries
-//! (one epoch = one trace-sample interval by default): within an epoch every
+//! per shard, each serving its own devices' events one device at a time.
+//! Shards only interact through the cloud, and the cloud is synchronized
+//! at **epoch** boundaries (one epoch = one trace-sample interval by
+//! default): within an epoch every
 //! shard runs independently, counting how many of its inferences offloaded
 //! to each region; at the barrier the engine merges those counts, runs each
 //! region's batch-close events (dispatch across backends by least-work-left
@@ -97,7 +98,7 @@
 //! is seeded by mixing the scenario seed with the stable device id, never
 //! from shard-local state, so device behavior does not depend on which
 //! shard runs it. Event time is integer microseconds (no float comparison
-//! in the heap), histogram bins are integer counts, and value sums are
+//! orders events), histogram bins are integer counts, and value sums are
 //! accumulated in fixed-point (micro-unit) integers, so merging shard
 //! partials is **exact and order-independent**. In practice the report is
 //! therefore bit-identical across shard counts too (`tests/fleet_sim.rs`

@@ -12,7 +12,7 @@ use crate::Fnv64;
 /// runs the serving tier strictly **drain → scale → publish**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BarrierPhase {
-    /// Shards advance their event heaps to the epoch boundary.
+    /// Shards serve their devices' events up to the epoch boundary.
     ShardStep,
     /// The serving tier admits and serves the epoch's offloads (fluid
     /// batch-close arithmetic, or the per-request microsim replay).
